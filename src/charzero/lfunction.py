@@ -42,6 +42,10 @@ _BERN_OVER_FACT = {
 }
 
 
+# no kernel temporary holds more than this many complex entries (512 KB)
+_CHUNK = 1 << 15
+
+
 @dataclass(frozen=True)
 class HurwitzParams:
     """Euler-Maclaurin truncation controls.
@@ -53,7 +57,6 @@ class HurwitzParams:
 
     shift_terms: int = 0
     bernoulli_terms: int = 20
-    target_abs_error: float = 1e-12
 
     def __post_init__(self):
         b = self.bernoulli_terms
@@ -83,36 +86,78 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _em_reg(s: np.ndarray, x: float, N: int, B: int):
-    """Regularized Hurwitz zeta zeta(s, x) - 1/(s-1) for a vector of s.
+# The Euler-Maclaurin kernel.  For a 1-D array of points s, shifts
+# 0 < x <= 1 and weights w_x it sums
+#     sum_x w_x (zeta(s, x) - 1/(s - 1))
+#   = sum_x w_x sum_{n<N} (n + x)^-s                     (main sum)
+#   + sum_x w_x [((N + x)^(1-s) - 1)/(s - 1) + (N + x)^-s / 2
+#                + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-s-2j)]   (tails)
+# The main sums over all shifts are one Dirichlet polynomial of N len(x)
+# terms; the tails are (points x shifts) arrays contracted against the
+# weights.  Every temporary is cut to at most _CHUNK entries.  Sums run along
+# each point's own row, never across points, so a point's value does not
+# depend on the batch it came in.
 
-    Returns (value, remainder_bound).  Valid whenever sigma + B + 1 > 0.
+
+def _dirichlet_terms(xs: np.ndarray, weights: np.ndarray, N: int):
+    """(log(n + x), w_x) over n < N and every shift: the main sum's terms."""
+    logs = np.log(np.arange(N)[:, None] + xs[None, :]).ravel()
+    return logs, np.tile(weights, N)
+
+
+def _em_tail(s: np.ndarray, xs: np.ndarray, weights: np.ndarray, N: int, B: int):
+    """The tails past the first N terms, and the summed remainder bound.
+
+    Valid whenever Re s + B + 1 > 0.
     """
-    s = np.asarray(s, dtype=np.complex128)
-    n = np.arange(N)
-    logs = np.log(n + x)
-    main = np.exp(-np.multiply.outer(s, logs)).sum(axis=-1)
-    w = N + x
-    lw = math.log(w)
-    ws = np.exp(-s * lw)
-    # ((w)^(1-s) - 1)/(s - 1) continued through s = 1
-    pole_reg = -lw * _phi1((1.0 - s) * lw)
-    total = main + pole_reg + 0.5 * ws
-    poch = s.copy()
-    wfac = ws / w
-    for j in range(1, B // 2 + 1):
-        total = total + _BERN_OVER_FACT[2 * j] * poch * wfac
-        poch = poch * (s + (2 * j - 1)) * (s + 2 * j)
-        wfac = wfac / (w * w)
-    # poch is now (s)_{B+1}; remainder needs |(s)_{B+2}|
     sigma = s.real
     denom = sigma + B + 1
     if np.any(denom <= 0):
         raise DomainError("Re s too far left for this Bernoulli depth")
-    poch_abs = np.abs(poch * (s + B + 1))
-    bound = (
-        abs(_BERN_OVER_FACT[B + 2]) * poch_abs * w ** (-(sigma + B + 1)) / denom
+    w = N + xs
+    lw = np.log(w)
+    # row j - 1: B_2j/(2j)! (N + x)^(1-2j)
+    bern = np.array(
+        [_BERN_OVER_FACT[2 * j] * w ** (1.0 - 2 * j) for j in range(1, B // 2 + 1)]
     )
+    rem = w ** -(B + 1.0)
+    total = np.empty(s.shape, dtype=np.complex128)
+    bound = np.empty(s.shape)
+    rows = max(1, _CHUNK // len(xs))
+    for lo in range(0, len(s), rows):
+        sc = s[lo : lo + rows]
+        ws = np.exp(-np.multiply.outer(sc, lw))
+        # 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-2j), per point and shift
+        series = np.full(ws.shape, 0.5, dtype=np.complex128)
+        poch = sc.copy()
+        for j, row in enumerate(bern, start=1):
+            series += np.multiply.outer(poch, row)
+            poch = poch * (sc + (2 * j - 1)) * (sc + 2 * j)
+        # ((N + x)^(1-s) - 1)/(s - 1), continued through s = 1
+        pole_reg = -lw * _phi1(np.multiply.outer(1.0 - sc, lw))
+        total[lo : lo + rows] = np.sum((pole_reg + ws * series) * weights, axis=1)
+        # poch is now (s)_{B+1}; the remainder is
+        # |B_{B+2}/(B+2)!| |(s)_{B+2}| (N + x)^-(sigma+B+1) / (sigma+B+1)
+        bound[lo : lo + rows] = (
+            abs(_BERN_OVER_FACT[B + 2])
+            * np.abs(poch * (sc + B + 1))
+            * np.sum(np.abs(ws) * rem, axis=1)
+            / denom[lo : lo + rows]
+        )
+    return total, bound
+
+
+def _em_sum(s: np.ndarray, xs: np.ndarray, weights: np.ndarray, N: int, B: int):
+    """(sum_x w_x (zeta(s, x) - 1/(s-1)), remainder bound) for a 1-D array s."""
+    total, bound = _em_tail(s, xs, weights, N, B)
+    logs, coef = _dirichlet_terms(xs, weights, N)
+    step = min(len(logs), _CHUNK)
+    for t0 in range(0, len(logs), step):
+        lc, cc = logs[t0 : t0 + step], coef[t0 : t0 + step]
+        rows = max(1, _CHUNK // len(lc))
+        for lo in range(0, len(s), rows):
+            terms = np.exp(-np.multiply.outer(s[lo : lo + rows], lc))
+            total[lo : lo + rows] += np.sum(terms * cc, axis=1)
     return total, bound
 
 
@@ -124,7 +169,10 @@ def hurwitz_zeta(s: complex, a: float, params: HurwitzParams | None = None):
         raise PoleError("hurwitz zeta has its pole at s = 1")
     p = params or HurwitzParams()
     N = p.resolve_n(complex(s).imag)
-    val, bound = _em_reg(np.array([s]), float(a), N, p.bernoulli_terms)
+    val, bound = _em_sum(
+        np.array([s], dtype=np.complex128), np.array([float(a)]), np.ones(1), N,
+        p.bernoulli_terms,
+    )
     return complex(val[0]) + 1.0 / (complex(s) - 1.0), float(bound[0])
 
 
@@ -141,9 +189,18 @@ class Window:
             self.sigma_min <= s.real <= self.sigma_max and abs(s.imag) <= self.t_max
         )
 
-    def validate(self, s: complex) -> None:
-        if not self.contains(s):
-            raise WindowError(f"point {s} lies outside the window {self}")
+    def validate(self, s) -> None:
+        """Raise WindowError naming the first point of s (a scalar or an
+        array) outside the window; NaN points are outside."""
+        pts = np.asarray(s, dtype=np.complex128).ravel()
+        inside = (
+            (self.sigma_min <= pts.real)
+            & (pts.real <= self.sigma_max)
+            & (np.abs(pts.imag) <= self.t_max)
+        )
+        if not inside.all():
+            bad = complex(pts[np.argmin(inside)])
+            raise WindowError(f"point {bad} lies outside the window {self}")
 
 
 class LEvaluator:
@@ -179,27 +236,14 @@ class LEvaluator:
         """(L values, error bounds) for an arbitrary array of points."""
         s = np.asarray(s_array, dtype=np.complex128).ravel()
         if check_window:
-            for pt in s:
-                self.window.validate(complex(pt))
+            self.window.validate(s)
         if self.chi.is_principal and np.any(s == 1.0):
             raise PoleError("principal character: L has a pole at s = 1")
         q = self.chi.q
         N = self.params.resolve_n(float(np.max(np.abs(s.imag))) if s.size else 0.0)
-        B = self.params.bernoulli_terms
-        xs = self._units / q
-        vals = np.zeros(s.shape, dtype=np.complex128)
-        bounds = np.zeros(s.shape)
-        chunk = max(1, (1 << 21) // max(1, len(xs) * N))
-        for lo in range(0, len(s), chunk):
-            sc = s[lo : lo + chunk]
-            acc = np.zeros(sc.shape, dtype=np.complex128)
-            bnd = np.zeros(sc.shape)
-            for x, wgt in zip(xs, self._weights):
-                reg, b = _em_reg(sc, float(x), N, B)
-                acc += wgt * reg
-                bnd += b
-            vals[lo : lo + chunk] = acc
-            bounds[lo : lo + chunk] = bnd
+        vals, bounds = _em_sum(
+            s, self._units / q, self._weights, N, self.params.bernoulli_terms
+        )
         if self.chi.is_principal:
             vals += sieve.euler_phi(q) / (s - 1.0)
         qfac = np.exp(-s * math.log(q)) if q > 1 else 1.0
@@ -228,25 +272,18 @@ class LEvaluator:
         q = self.chi.q
         N = self.params.resolve_n(float(np.max(np.abs(ts))) if ts.size else 0.0)
         B = self.params.bernoulli_terms
+        xs = self._units / q
         s_grid = sig[:, None] + 1j * ts[None, :]
-        acc = np.zeros((len(sig), len(ts)), dtype=np.complex128)
-        for x, wgt in zip(self._units / q, self._weights):
-            logs = np.log(np.arange(N) + x)
-            P = np.exp(-np.multiply.outer(sig, logs))
-            Q = np.exp(-1j * np.multiply.outer(ts, logs))
-            main = P.astype(np.complex128) @ Q.T
-            w = N + x
-            lw = math.log(w)
-            ws = np.exp(-sig * lw)[:, None] * np.exp(-1j * ts * lw)[None, :]
-            pole_reg = -lw * _phi1((1.0 - s_grid) * lw)
-            block = main + pole_reg + 0.5 * ws
-            poch = s_grid.copy()
-            wfac = ws / w
-            for j in range(1, B // 2 + 1):
-                block = block + _BERN_OVER_FACT[2 * j] * poch * wfac
-                poch = poch * (s_grid + (2 * j - 1)) * (s_grid + 2 * j)
-                wfac = wfac / (w * w)
-            acc += wgt * block
+        tail, _ = _em_tail(s_grid.ravel(), xs, self._weights, N, B)
+        acc = tail.reshape(s_grid.shape)
+        # main sum: n^-s = n^-sigma n^-it, one matrix product per term chunk
+        logs, coef = _dirichlet_terms(xs, self._weights, N)
+        step = max(1, _CHUNK // max(len(sig), len(ts)))
+        for t0 in range(0, len(logs), step):
+            lc = logs[t0 : t0 + step]
+            P = np.exp(-np.multiply.outer(sig, lc)) * coef[t0 : t0 + step]
+            Q = np.exp(-1j * np.multiply.outer(ts, lc))
+            acc += P @ Q.T
         qfac = np.exp(-s_grid * math.log(q))
         return qfac * acc
 

@@ -110,29 +110,51 @@ def count_zeros(chi: dirichlet.Character, rect: Rectangle, evaluator=None) -> in
     raise ContourError(f"contour unusable after 5 perturbations: {err}")
 
 
-def _newton_polish(ev: LEvaluator, z0: complex, rect: Rectangle):
-    z = z0
+def _newton_polish(ev: LEvaluator, seeds, rect: Rectangle) -> list:
+    """Newton on all seeds together; entry i is (z, |L(z)|) for seed i, or None.
+
+    Each iteration makes one L call on z, z + h and z - h of every seed still
+    running.  A seed stops
+    - with its point once |L| <= 1e-12;
+    - with None when it leaves the box or the window, or when its difference
+      quotient is zero or not finite;
+    - after a step below 1e-14 or after 50 iterations, keeping its point only
+      if the final |L| is at most _RESIDUAL_TARGET.
+    """
     h = _NEWTON_H
     box = rect.expand(0.3)
+    z = np.array(seeds, dtype=np.complex128)
+    out = [None] * len(z)
+    live = np.arange(len(z))
+    settled = []
     for _ in range(50):
-        if not (box.contains(z) and ev.window.contains(z)):
-            return None
-        vals, _ = ev.values(np.array([z, z + h, z - h]), check_window=False)
-        v = vals[0]
-        if abs(v) <= 1e-12:
-            return z, abs(v)
-        dv = (vals[1] - vals[2]) / (2.0 * h)
-        if dv == 0 or not np.isfinite(dv):
-            return None
-        step = v / dv
-        z = z - step
-        if abs(step) < 1e-14:
+        live = np.array(
+            [i for i in live if box.contains(z[i]) and ev.window.contains(z[i])],
+            dtype=int,
+        )
+        if not live.size:
             break
-    vals, _ = ev.values(np.array([z]), check_window=False)
-    r = abs(vals[0])
-    if r <= _RESIDUAL_TARGET:
-        return z, r
-    return None
+        zl = z[live]
+        vals, _ = ev.values(np.concatenate([zl, zl + h, zl - h]), check_window=False)
+        v, vp, vm = np.split(vals, 3)
+        hit = np.abs(v) <= 1e-12
+        for i, r in zip(live[hit], np.abs(v[hit])):
+            out[i] = (complex(z[i]), float(r))
+        dv = (vp - vm) / (2.0 * h)
+        go = ~hit & (dv != 0) & np.isfinite(dv)
+        step = v[go] / dv[go]
+        live = live[go]
+        z[live] -= step
+        small = np.abs(step) < 1e-14
+        settled.extend(live[small])
+        live = live[~small]
+    settled.extend(live)
+    if settled:
+        vals, _ = ev.values(z[settled], check_window=False)
+        for i, r in zip(settled, np.abs(vals)):
+            if r <= _RESIDUAL_TARGET:
+                out[i] = (complex(z[i]), float(r))
+    return out
 
 
 def _scan_candidates(ev: LEvaluator, rect: Rectangle, spacing: float):
@@ -154,8 +176,7 @@ def _scan_candidates(ev: LEvaluator, rect: Rectangle, spacing: float):
 
 def _locate_at_spacing(chi, ev, rect, spacing):
     found = []
-    for z0 in _scan_candidates(ev, rect, spacing):
-        hit = _newton_polish(ev, z0, rect)
+    for hit in _newton_polish(ev, _scan_candidates(ev, rect, spacing), rect):
         if hit is None:
             continue
         z, resid = hit

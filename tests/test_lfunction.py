@@ -112,14 +112,52 @@ def test_l_conjugation_symmetry():
 
 
 def test_grid_matches_pointwise():
-    ev = lfunction.LEvaluator(CHI4)
     sigmas = np.array([-0.5, 0.5, 1.0, 2.5])
-    ts = np.array([-10.0, 0.0, 3.25, 40.0])
-    grid = ev.grid(sigmas, ts)
-    for i, sg in enumerate(sigmas):
-        for j, t in enumerate(ts):
-            ref, _ = ev.L(complex(sg, t))
-            assert grid[i, j] == pytest.approx(ref, abs=1e-10 * max(1, abs(ref)))
+    cases = [
+        (4, 3, np.array([-10.0, 0.0, 3.25, 40.0])),
+        (23, 5, np.linspace(-10.0, 40.0, 12)),
+        # 4 x 90 cells times 100 shifts, and 8000 terms against 90 ordinates,
+        # each pass more than one of the kernel's chunks
+        (101, 2, np.linspace(-10.0, 40.0, 90)),
+    ]
+    for q, conrey, ts in cases:
+        ev = lfunction.LEvaluator(dirichlet.character(q, conrey))
+        grid = ev.grid(sigmas, ts)
+        for i, sg in enumerate(sigmas):
+            for j, t in enumerate(ts):
+                ref, _ = ev.L(complex(sg, t))
+                assert grid[i, j] == pytest.approx(ref, abs=1e-10 * max(1, abs(ref)))
+
+
+def test_values_batch_spanning_chunks_matches_pointwise():
+    chi = dirichlet.character(101, 2)
+    ev = lfunction.LEvaluator(chi)
+    rng = np.random.default_rng(20261018)
+    s = rng.uniform(-1, 3, 400) + 1j * rng.uniform(-20, 20, 400)
+    # every point shares N = 50: 5000 terms and 100 shifts per point
+    terms, shifts = 50 * len(ev._units), len(ev._units)
+    assert len(s) > 2 * (lfunction._CHUNK // terms)
+    assert len(s) > lfunction._CHUNK // shifts
+    vals, bounds = ev.values(s)
+    for pt, val, bnd in zip(s, vals, bounds):
+        ref, ref_b = ev.L(complex(pt))
+        assert abs(val - ref) <= 1e-12 * max(1, abs(ref))
+        assert bnd == pytest.approx(ref_b, rel=1e-12)
+
+
+def test_values_match_mpmath_dirichlet():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    with mpmath.workdps(20):
+        for q in (4, 7, 23):
+            chars = dirichlet.enumerate_characters(q)
+            chi = chars[int(rng.integers(len(chars)))]
+            table = [mpmath.mpc(v.real, v.imag) for v in dirichlet.value_table(chi)]
+            s = rng.uniform(-1, 3, 6) + 1j * rng.uniform(-20, 20, 6)
+            vals, _ = lfunction.LEvaluator(chi).values(s)
+            for pt, val in zip(s, vals):
+                ref = complex(mpmath.dirichlet(mpmath.mpc(pt.real, pt.imag), table))
+                assert abs(val - ref) <= 1e-11 * max(1, abs(ref)), (q, chi.conrey, pt)
 
 
 def test_window_enforced():
@@ -130,6 +168,12 @@ def test_window_enforced():
         ev.L(0.5 + 51j)
     with pytest.raises(WindowError):
         ev.grid(np.array([0.5]), np.array([80.0]))
+    # a batch names its first point outside the window; NaN is outside
+    batch = np.array([0.5 + 1j, 0.5 + 60j, complex(math.nan, 0.0), 4.0 + 0j])
+    with pytest.raises(WindowError, match=r"point \(0\.5\+60j\)"):
+        ev.values(batch)
+    with pytest.raises(WindowError, match="nan"):
+        ev.values(np.array([0.5 + 1j, complex(math.nan, 2.0)]))
     # explicit window override widens the domain
     wide = lfunction.LEvaluator(CHI4, window=lfunction.Window(t_max=100.0))
     val, _ = wide.L(0.5 + 80j)

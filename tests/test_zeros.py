@@ -171,3 +171,33 @@ def test_disk_audit_q5_example():
 def test_disk_audit_window_guard():
     with pytest.raises(WindowError):
         zeros.disk_count_audit(CHI4, 10.0, 360.0)
+
+
+def test_newton_batch_matches_single_seeds():
+    ev = zeros.LEvaluator(CHI4)
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    seeds = zeros._scan_candidates(ev, rect, 0.05)
+    batch = zeros._newton_polish(ev, seeds, rect)
+    assert sum(hit is not None for hit in batch) == len(CHI4_HEIGHTS)
+    for seed, hit in zip(seeds, batch):
+        (alone,) = zeros._newton_polish(ev, [seed], rect)
+        assert (hit is None) == (alone is None)
+        if hit is not None:
+            assert abs(hit[0] - alone[0]) <= 1e-12
+            assert hit[1] <= 1e-10
+
+
+def test_newton_seed_leaving_box_is_dropped_alone():
+    ev = zeros.LEvaluator(CHI4)
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    seeds = zeros._scan_candidates(ev, rect, 0.05)
+    # Newton heads for the trivial zero at s = -1, outside the box
+    stray = complex(-0.25, 0.0)
+    assert zeros._newton_polish(ev, [stray], rect) == [None]
+    base = zeros._newton_polish(ev, seeds, rect)
+    mixed = zeros._newton_polish(ev, seeds[:2] + [stray] + seeds[2:], rect)
+    assert mixed[2] is None
+    for want, got in zip(base, mixed[:2] + mixed[3:]):
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert abs(want[0] - got[0]) <= 1e-12
