@@ -17,9 +17,6 @@ from .errors import DomainError, SieveLimitError
 
 DEFAULT_FUNCTION_LIMIT = 10**7
 
-# fixed corpus seed, echoed in reports
-DEFAULT_SEED = 20260814
-
 
 class CompletelyMultiplicativeFunction:
     """Base: values determined by unimodular-or-zero data on primes."""
@@ -252,11 +249,26 @@ def euler_product_F(f, s: complex, x) -> complex:
     return complex(np.exp(-np.sum(np.log(1.0 - z))))
 
 
+def _euler_weights(f, x):
+    """(log p, w_p = f(p) p^{-sigma0}) over primes p <= x, sigma0 = 1 + 1/log x.
+
+    Raises DomainError unless every |w_p| < 1, which |f| <= 1 guarantees and
+    both the Euler product and its log series need.
+    """
+    sigma0 = 1.0 + 1.0 / math.log(x)
+    ps = sieve.primes_up_to(int(math.floor(x)))
+    lp = np.log(ps.astype(np.float64))
+    w = f.prime_values(ps) * np.exp(-sigma0 * lp)
+    if np.any(np.abs(w) >= 1.0):
+        raise DomainError("need |f(p)| p^{-1-1/log x} < 1 for every prime p <= x")
+    return lp, w
+
+
 def _log_abs_F(primes_log, w, ts) -> np.ndarray:
     """log|F(1 + 1/log x + it)| via the Euler product, vectorized over t.
 
-    w = f(p) p^{-sigma0} precomputed; |1 - w e^{-i theta}|^2 expanded in real
-    arithmetic to avoid complex exponentials.
+    w = f(p) p^{-sigma0} precomputed, |w| < 1; |1 - w e^{-i theta}|^2
+    expanded in real arithmetic to avoid complex exponentials.
     """
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty(len(ts))
@@ -266,9 +278,75 @@ def _log_abs_F(primes_log, w, ts) -> np.ndarray:
     for lo in range(0, len(ts), chunk):
         theta = np.multiply.outer(ts[lo : lo + chunk], primes_log)
         m2 = 1.0 + w2 - 2.0 * (np.cos(theta) * a + np.sin(theta) * b)
-        np.maximum(m2, 1e-300, out=m2)
         out[lo : lo + chunk] = -0.5 * np.sum(np.log(m2), axis=1)
     return out
+
+
+# The grid scan sums log F = sum_p sum_k (w_p^k / k) e^{-ikt log p} by a
+# type-1 NUFFT with Gaussian gridding (Greengard-Lee, SIAM Review 46, 2004).
+_SERIES_TAIL = 1e-13  # bound on the summed truncation tails of the log series
+_SPREAD = 12  # Gaussian half-width in fine-grid cells
+_OVERSAMPLE = 3  # fine grid >= this many times the number of modes
+_SOURCE_CHUNK = 1 << 14  # sources spread at once; bounds the spreading memory
+# Grid points whose NUFFT value lies within this of the NUFFT top are
+# re-evaluated directly; it must stay >= 2x the NUFFT error (about 1e-13).
+_GRID_GUARD = 1e-9
+
+
+def _log_series(primes_log, w):
+    """Frequencies k log p, coefficients w^k/k and the summed tail bound.
+
+    K_p is the least K with |w|^{K+1}/((K+1)(1-|w|)) within an equal share of
+    _SERIES_TAIL; needs |w| < 1.
+    """
+    r = np.abs(w)
+    share = _SERIES_TAIL / max(1, len(w))
+    freqs, coefs, tail = [], [], 0.0
+    idx, wk, k = np.arange(len(w)), w, 1
+    while idx.size:
+        freqs.append(k * primes_log[idx])
+        coefs.append(wk / k)
+        rk = r[idx]
+        bound = rk ** (k + 1) / ((k + 1) * (1.0 - rk))
+        more = bound > share
+        tail += float(np.sum(bound[~more]))
+        idx = idx[more]
+        wk = wk[more] * w[idx]
+        k += 1
+    return np.concatenate(freqs), np.concatenate(coefs), tail
+
+
+def _nufft_type1(freqs, coefs, step, jmax) -> np.ndarray:
+    """sum_m coefs_m e^{-i j step freqs_m} for j = -jmax..jmax."""
+    n = 2 * jmax + 1
+    mr = 1 << math.ceil(math.log2(_OVERSAMPLE * n))
+    ratio = mr / n
+    tau = math.pi * _SPREAD / (n * n * ratio * (ratio - 0.5))
+    h = 2.0 * math.pi / mr
+    u = np.mod(step * freqs, 2.0 * math.pi) / h
+    offs = np.arange(1 - _SPREAD, _SPREAD + 1)
+    re = np.zeros(mr)
+    im = np.zeros(mr)
+    for lo in range(0, len(u), _SOURCE_CHUNK):
+        uc = u[lo : lo + _SOURCE_CHUNK]
+        cc = coefs[lo : lo + _SOURCE_CHUNK]
+        cells = np.floor(uc).astype(np.int64)[:, None] + offs
+        g = np.exp(-((cells - uc[:, None]) * h) ** 2 / (4.0 * tau))
+        cells = (cells % mr).ravel()
+        re += np.bincount(cells, (g * cc.real[:, None]).ravel(), minlength=mr)
+        im += np.bincount(cells, (g * cc.imag[:, None]).ravel(), minlength=mr)
+    spec = np.fft.fft(re + 1j * im)
+    j = np.arange(-jmax, jmax + 1)
+    return spec[j % mr] * (math.sqrt(math.pi / tau) / mr * np.exp(j * j * tau))
+
+
+def _log_abs_F_grid(primes_log, w, step, jmax):
+    """(log|F(sigma0 + i j step)| for j = -jmax..jmax, series tail bound).
+
+    Agrees with _log_abs_F to the tail bound plus the NUFFT error.
+    """
+    freqs, coefs, tail = _log_series(primes_log, w)
+    return _nufft_type1(freqs, coefs, step, jmax).real, tail
 
 
 @dataclass(frozen=True)
@@ -285,6 +363,8 @@ class HalaszData:
 def find_phi_and_M(f, x) -> HalaszData:
     """Grid search (step 1/(10 log x)) plus golden-section refinement.
 
+    The grid comes from the NUFFT; the points within _GRID_GUARD of its top
+    are re-evaluated directly and the maximum taken over those exact values.
     Ties broken by smallest |t|, then by negative t.
     """
     n = int(math.floor(x))
@@ -293,18 +373,17 @@ def find_phi_and_M(f, x) -> HalaszData:
     if n > f.limit:
         raise SieveLimitError("x exceeds the function limit")
     logx = math.log(x)
-    sigma0 = 1.0 + 1.0 / logx
-    ps = sieve.primes_up_to(n)
-    lp = np.log(ps.astype(np.float64))
-    w = f.prime_values(ps) * np.exp(-sigma0 * lp)
+    lp, w = _euler_weights(f, x)
 
     step = 1.0 / (10.0 * logx)
     jmax = int(math.floor(logx / step))
     ts = np.arange(-jmax, jmax + 1, dtype=np.float64) * step
-    vals = _log_abs_F(lp, w, ts)
+    vals, _ = _log_abs_F_grid(lp, w, step, jmax)
+    near = np.flatnonzero(vals >= np.max(vals) - _GRID_GUARD)
+    vals[near] = _log_abs_F(lp, w, ts[near])
 
-    top = np.max(vals)
-    cand = np.flatnonzero(vals >= top)
+    top = np.max(vals[near])
+    cand = near[vals[near] >= top]
     j_best = min(cand, key=lambda j: (abs(ts[j]), ts[j]))
     t_best, v_best = float(ts[j_best]), float(vals[j_best])
 
@@ -483,12 +562,7 @@ def large_mean_witness(
 
 def eq22_gap(f, x, t: float) -> float:
     """log|F(1+1/log x+it)| minus (log log x - distance_sq(f, n^{it}, x))."""
-    n = int(math.floor(x))
-    logx = math.log(x)
-    sigma0 = 1.0 + 1.0 / logx
-    ps = sieve.primes_up_to(n)
-    lp = np.log(ps.astype(np.float64))
-    w = f.prime_values(ps) * np.exp(-sigma0 * lp)
+    lp, w = _euler_weights(f, x)
     logF = float(_log_abs_F(lp, w, [t])[0])
     d2 = distance_sq(f, ArchimedeanTwist(t), x)
-    return logF - (math.log(logx) - d2)
+    return logF - (math.log(math.log(x)) - d2)

@@ -176,13 +176,75 @@ def test_grid_trace_is_argmax():
     vs = np.array([v for _, v in data.grid_trace])
     top = vs.max()
     # refined point must beat every grid point
-    lp = np.log(sieve.primes_up_to(2000).astype(np.float64))
-    w = LEG5.prime_values(sieve.primes_up_to(2000)) * np.exp(
-        -(1 + 1 / math.log(2000.0)) * lp
-    )
+    lp, w = multfn._euler_weights(LEG5, 2000.0)
     refined = float(np.exp(multfn._log_abs_F(lp, w, [data.phi])[0]))
     assert refined >= top - 1e-9
     assert abs(ts).max() <= math.log(2000.0) + 1e-12
+
+
+def _direct_grid(f, x):
+    logx = math.log(x)
+    step = 1.0 / (10.0 * logx)
+    jmax = int(math.floor(logx / step))
+    ts = np.arange(-jmax, jmax + 1, dtype=np.float64) * step
+    lp, w = multfn._euler_weights(f, x)
+    return lp, w, step, jmax, ts, multfn._log_abs_F(lp, w, ts)
+
+
+@pytest.mark.parametrize("x", [2000.0, 1e4, 1e5])
+@pytest.mark.parametrize("spec", ["one", "char:5.4", "randpm:3", "ntoi:0.5", "char:7.3"])
+def test_nufft_grid_matches_direct(spec, x):
+    lp, w, step, jmax, ts, direct = _direct_grid(multfn.parse_function(spec), x)
+    vals, tail = multfn._log_abs_F_grid(lp, w, step, jmax)
+    assert tail <= 1e-13
+    assert np.max(np.abs(vals - direct)) <= multfn._GRID_GUARD / 100
+
+
+@pytest.mark.parametrize("spec", ["char:5.4", "randpm:3", "randpm:11", "char:8.3"])
+def test_grid_tie_break_smallest_abs_t(spec):
+    # For a real f the direct values at +-t tie exactly (randpm) or differ in
+    # the last bits (a character table's ~1e-16 imaginary parts); the NUFFT
+    # ranks +t first for randpm:11 and char:8.3.
+    f = multfn.parse_function(spec)
+    _, _, step, _, ts, direct = _direct_grid(f, 1e4)
+    cand = np.flatnonzero(direct >= direct.max())
+    j_best = min(cand, key=lambda j: (abs(ts[j]), ts[j]))
+    data = multfn.find_phi_and_M(f, 1e4)
+    assert abs(data.phi - ts[j_best]) <= step
+
+
+def test_halasz_bound_pinned_values():
+    # hex floats from the direct grid scan that the NUFFT scan replaced
+    pinned = {
+        "randpm:1": {
+            "phi": "0x0.0p+0",
+            "M": "0x1.ea8e19f78c2c3p+0",
+            "observed": "0x1.0624dd2f1a9fcp-10",
+            "bound": "0x1.f0b52323cdefcp-1",
+            "ratio": "0x1.316b580ef1901p-9",
+        },
+        "char:5.2": {
+            "phi": "-0x1.be605bb23755fp+2",
+            "M": "0x1.fa3517b971736p+0",
+            "observed": "0x1.8534a0976e373p-55",
+            "bound": "0x1.2f716c998a5b0p-1",
+            "ratio": "0x1.d6a6862501387p-51",
+        },
+    }
+    for spec, want in pinned.items():
+        got = multfn.halasz_bound(multfn.parse_function(spec), 2e4).to_dict()
+        assert {k: v.hex() for k, v in got.items()} == want
+
+
+def test_find_phi_rejects_prime_weight_above_one():
+    class TooLarge(multfn.CompletelyMultiplicativeFunction):
+        def prime_values(self, primes):
+            return np.where(primes == 2, 3.0, 1.0).astype(np.complex128)
+
+    with pytest.raises(DomainError):
+        multfn.find_phi_and_M(TooLarge(), 1000.0)
+    with pytest.raises(DomainError):
+        multfn.eq22_gap(TooLarge(), 1000.0, 0.0)
 
 
 def test_halasz_bound_one():
