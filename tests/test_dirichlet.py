@@ -164,11 +164,29 @@ def test_partial_sum_normalization():
 
 
 def test_value_table_matches_calls():
+    # chi(n) reads the table; both must match the exact rational angle
     for q in (8, 15):
         for chi in dirichlet.enumerate_characters(q):
             table = dirichlet.value_table(chi)
             for n in range(q):
-                assert table[n] == pytest.approx(chi(n), abs=1e-14)
+                ang = chi.angle(n)
+                want = 0j if ang is None else cmath.exp(2j * cmath.pi * float(ang))
+                assert table[n] == pytest.approx(want, abs=1e-14)
+                assert chi(n) == table[n]
+
+
+def test_real_character_tables_exact():
+    real = [
+        chi
+        for q in range(3, 30)
+        for chi in dirichlet.enumerate_characters(q, primitive_only=True)
+        if chi.order == 2
+    ]
+    assert len(real) == 19
+    for chi in real:
+        table = dirichlet.value_table(chi)
+        assert np.all(table.imag == 0.0)
+        assert set(table.real.tolist()) <= {-1.0, 0.0, 1.0}
 
 
 def test_character_errors():

@@ -202,15 +202,24 @@ def test_nufft_grid_matches_direct(spec, x):
 
 @pytest.mark.parametrize("spec", ["char:5.4", "randpm:3", "randpm:11", "char:8.3"])
 def test_grid_tie_break_smallest_abs_t(spec):
-    # For a real f the direct values at +-t tie exactly (randpm) or differ in
-    # the last bits (a character table's ~1e-16 imaginary parts); the NUFFT
-    # ranks +t first for randpm:11 and char:8.3.
+    # For a real f the direct values at +-t tie exactly; the NUFFT ranks +t
+    # first for randpm:11.
     f = multfn.parse_function(spec)
     _, _, step, _, ts, direct = _direct_grid(f, 1e4)
     cand = np.flatnonzero(direct >= direct.max())
     j_best = min(cand, key=lambda j: (abs(ts[j]), ts[j]))
     data = multfn.find_phi_and_M(f, 1e4)
     assert abs(data.phi - ts[j_best]) <= step
+
+
+@pytest.mark.parametrize("spec", ["char:19.18", "char:24.11", "char:28.27", "char:29.28"])
+def test_real_character_grid_is_even_in_t(spec):
+    # with an exact +-1 table log|F| ties at +-t, so the tie-break gives
+    # phi <= 0; a table holding -1 + 1.2e-16i gave these four phi > 0
+    f = multfn.parse_function(spec)
+    *_, direct = _direct_grid(f, 1e4)
+    assert np.array_equal(direct, direct[::-1])
+    assert multfn.find_phi_and_M(f, 1e4).phi <= 0
 
 
 def test_halasz_bound_pinned_values():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from charzero import dirichlet, zeros
+from charzero import dirichlet, harness, zeros
 from charzero.errors import (
     CoverageError,
     DomainError,
@@ -77,7 +77,7 @@ def test_rect_outside_window():
 
 def test_zeros_to_csv_roundtrip():
     recs = zeros.locate_zeros(CHI4, zeros.Rectangle(0, 1, 0, 12))
-    text = zeros.zeros_to_csv(recs)
+    text = harness.rows_to_csv(harness.report_dict(recs))
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["q", "conrey", "beta", "gamma", "residual", "method"]
     assert len(rows) == len(recs) + 1
