@@ -468,8 +468,8 @@ def disk_count_experiment(
 
 def report_dict(obj):
     """A report as plain data: a dataclass becomes a dict of its fields in
-    declaration order, and nested dataclasses and lists are walked the same
-    way; anything else is returned as it is.
+    declaration order, and nested dataclasses, dicts and lists are walked
+    the same way; anything else is returned as it is.
 
     A class whose report shape differs from its fields (flattened CSV
     columns, an added version) defines `to_dict`, which is used instead.
@@ -480,6 +480,8 @@ def report_dict(obj):
         return obj.to_dict()
     if is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: report_dict(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: report_dict(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [report_dict(v) for v in obj]
     return obj
@@ -495,8 +497,6 @@ def _json_default(v):
         return {"re": v.real, "im": v.imag}
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
-    if is_dataclass(v) and not isinstance(v, type):
-        return report_dict(v)
     raise TypeError(f"not JSON-serializable: {type(v)!r}")
 
 

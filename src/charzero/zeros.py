@@ -322,7 +322,7 @@ class DiskAuditReport:
     conrey: int
     x: float
     L_param: float
-    N: float
+    N: float | None
     phi: float
     disk: Disk
     count: int
@@ -370,6 +370,7 @@ def disk_count_audit(
         raise DomainError("need x > 1")
     logx = math.log(x)
     S = dirichlet.partial_sum(chi, x)
+    # S = 0 has no finite N: every N hypothesis fails, and the report says null
     N = S.N if S.N is not None else math.inf
     data = multfn.find_phi_and_M(multfn.CharacterFunction(chi), x)
     phi = data.phi
@@ -396,7 +397,7 @@ def disk_count_audit(
         conrey=chi.conrey,
         x=float(x),
         L_param=float(L_param),
-        N=float(N),
+        N=S.N,
         phi=phi,
         disk=disk,
         count=count,

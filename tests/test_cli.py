@@ -12,10 +12,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, argv):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse rejects the command line
-        code = exc.code
+    code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -214,9 +211,10 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
 
 
 def test_seed_flag_exits_2(capsys):
-    code, _, err = run(capsys, ["--seed", "7", "constants"])
-    assert code == 2
-    assert "error:" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--seed", "7", "constants"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_readme_cli_examples_run(capsys):
@@ -237,6 +235,7 @@ def test_domain_error_exits_2(capsys):
     assert err.startswith("error:")
     code, _, err = run(capsys, ["audit-disk", "--q", "4", "--conrey", "3", "--x", "10", "--L", "360"])
     assert code == 2
+    assert err.startswith("error:")
 
 
 def test_product_search_cli(capsys):

@@ -204,6 +204,14 @@ def test_to_json_stable_and_complex():
     assert list(payload) == ["a", "b"]  # sorted keys
 
 
+def test_report_dict_walks_dict_values():
+    rep = harness.disk_count_experiment(101, 2, 10.0, L_grid=(0.5,))
+    d = harness.report_dict({"exp": rep, "rows": [rep.rows[0]]})
+    assert d["exp"] == harness.report_dict(rep)
+    assert d["rows"][0] == rep.rows[0].to_dict()
+    assert json.loads(harness.to_json({"exp": rep}))["exp"]["rows"][0]["center_re"] == 1.0
+
+
 def test_rows_to_csv():
     rows = [
         {"a": 1, "b": 2.5, "c": "x,y"},

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 
 import pytest
@@ -166,6 +167,14 @@ def test_disk_audit_q5_example():
     rep = zeros.disk_count_audit(chi, x, math.log(x) / 2.0)
     assert rep.count == 0
     assert rep.vacuous
+
+
+def test_disk_audit_zero_sum_reports_null_N():
+    # chi4 summed over two whole periods is exactly 0, so N = x/|S| has no value
+    rep = zeros.disk_count_audit(CHI4, 8.0, 1.0)
+    assert rep.N is None
+    assert not rep.N_ok and not rep.L_ok and rep.vacuous
+    json.dumps(rep.to_dict(), allow_nan=False)
 
 
 def test_disk_audit_window_guard():
