@@ -7,10 +7,11 @@ bound functions, the nonresidue census, product/power searches, and the
 corollary zero-budget audit.
 
 Global flags, given before the subcommand: --config (key=value file
-overriding abs_c, witness_c and sum_bound_C), --out {text,json,csv} and
---threads (thread pool size for audit-corollary).  Reports are built by
-`harness.report_dict`.  Output carries no timestamps; identical invocations
-produce identical bytes.
+overriding abs_c, witness_c and sum_bound_C) and --out {text,json,csv}.
+Reports are built by `harness.report_dict`.  Output carries no timestamps;
+identical invocations produce identical bytes.  `main` returns the exit
+status: 0 on success, 2 for a malformed command line (argparse's usage
+block) or a value the library rejects (one `error: ...` line).
 """
 from __future__ import annotations
 
@@ -277,7 +278,7 @@ def _cmd_audit_corollary(args, constants):
         quadratic_only=args.quadratic_only,
         constants=constants,
     )
-    report = harness.report_dict(harness.corollary_zero_budget_audit(cfg, threads=args.threads))
+    report = harness.report_dict(harness.corollary_zero_budget_audit(cfg))
     return report, report["rows"]
 
 
@@ -290,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"charzero {__version__}")
     top.add_argument("--config", help="key=value constants file")
     top.add_argument("--out", choices=("text", "json", "csv"), default="text")
-    top.add_argument("--threads", type=int, default=1)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chars", help="list characters mod q")
@@ -392,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, --version or a malformed command line
+        return exc.code or 0
     try:
         constants = _build_constants(args)
         payload, rows = args.func(args, constants)

@@ -206,8 +206,6 @@ def character(q: int, conrey: int) -> Character:
     if q == 1:
         return Character(1, 1, (), 1, 0, 1, True)
     conrey %= q
-    if conrey == 0 and q == 1:
-        conrey = 1
     if math.gcd(conrey, q) != 1:
         raise DomainError(f"Conrey label {conrey} is not coprime to modulus {q}")
     exps = _exponents_from_conrey(q, conrey)

@@ -21,6 +21,10 @@ class ContourError(RuntimeError):
     """Argument tracking along a contour could not be completed."""
 
 
+class ConvergenceError(RuntimeError):
+    """An iterative method hit its iteration cap before reaching its tolerance."""
+
+
 class CountMismatchError(RuntimeError):
     """Located zeros disagree with the argument-principle count."""
 

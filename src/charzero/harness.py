@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -166,28 +165,22 @@ def _audit_one(chi: dirichlet.Character, config: ScenarioConfig) -> AuditRow:
     )
 
 
-def corollary_zero_budget_audit(config: ScenarioConfig, threads: int = 1) -> AuditReport:
+def corollary_zero_budget_audit(config: ScenarioConfig) -> AuditReport:
     """Per primitive character: zero count in the corollary window versus
     the eps^2 log q budget, |S(q^eps, chi)| versus the predicted bound, and
     the near-1 rectangle report.
 
     fixed-window counts zeros in Re >= 3/4, |Im| <= 1/4; twisted-window
-    takes the worst window |Im - phi| <= 1/4 over |phi| <= T.  Rows may run
-    on a thread pool; assembly is single-threaded in (q, conrey) order, so
-    the report does not depend on `threads`.
+    takes the worst window |Im - phi| <= 1/4 over |phi| <= T.  Rows come in
+    (q, conrey) order: moduli ascend and each modulus lists its characters
+    by Conrey label.
     """
-    chars = [
-        chi
+    rows = [
+        _audit_one(chi, config)
         for q in range(config.q_min, config.q_max + 1)
         for chi in dirichlet.enumerate_characters(q, primitive_only=True)
         if not (config.quadratic_only and chi.order != 2)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda chi: _audit_one(chi, config), chars))
-    else:
-        rows = [_audit_one(chi, config) for chi in chars]
-    rows.sort(key=lambda r: (r.q, r.conrey))
     return AuditReport(
         selector=config.selector,
         eps=config.eps,

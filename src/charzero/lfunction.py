@@ -215,20 +215,13 @@ class LEvaluator:
         self.chi = chi
         self.params = params or HurwitzParams()
         self.window = window or Window()
-        q = chi.q
-        units, _, _, _ = dirichlet._basis_tables(q) if q > 1 else (
-            np.array([0]),
-            None,
-            None,
-            None,
-        )
-        if q == 1:
+        if chi.q == 1:
             self._units = np.array([1.0])
             self._weights = np.array([1.0 + 0j])
         else:
+            units, _, _, _ = dirichlet._basis_tables(chi.q)
             self._units = units.astype(np.float64)
-            table = dirichlet.value_table(chi)
-            self._weights = table[units]
+            self._weights = dirichlet.value_table(chi)[units]
 
     # -- scalar / vector values ------------------------------------------
 

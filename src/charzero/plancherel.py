@@ -14,14 +14,13 @@ residual beyond the stated tails is an implementation bug.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, erfcinv
 
 from . import dirichlet
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .lfunction import LEvaluator
 from .special import gauss_legendre
 
@@ -108,10 +107,15 @@ def lhs_quadrature_oracle(case: PlancherelCase, n_max: int, nodes: int = 12) -> 
     return math.sqrt(2.0 * math.pi * T) * total
 
 
-def rhs_L_integral(case: PlancherelCase, tol: float = _COMPONENT_TOL, evaluator=None):
-    """(value, tail_bound, xi_max, intervals): adaptive Simpson on the L-line."""
+def rhs_L_integral(case: PlancherelCase, tol: float = _COMPONENT_TOL):
+    """(value, tail_bound, xi_max, intervals): Simpson's rule on the L-line,
+    doubling from 64 intervals until two estimates agree to tol.
+
+    Raises ConvergenceError if 12 doublings (262 144 intervals) do not get
+    there.
+    """
     lam, T, phi = case.lam, case.T, case.phi
-    ev = evaluator or LEvaluator(case.chi)
+    ev = LEvaluator(case.chi)
     xi_max = 10.0 * math.sqrt(T)
     base = complex(1.0 - lam, 0.0)
 
@@ -147,6 +151,11 @@ def rhs_L_integral(case: PlancherelCase, tol: float = _COMPONENT_TOL, evaluator=
             est = new
             break
         est = new
+    else:
+        raise ConvergenceError(
+            f"L-line Simpson did not reach tol {tol} in {n} intervals "
+            f"(q={case.chi.q}, conrey={case.chi.conrey}, phi={phi}, lam={lam}, T={T})"
+        )
     tail = (
         max_abs_l
         * (2.0 / xi_max)
@@ -188,9 +197,9 @@ class CaseResult:
         }
 
 
-def verify_case(case: PlancherelCase, tol: float = _COMPONENT_TOL, _shared=None, _ev=None) -> CaseResult:
-    lhs, lhs_tail, n_max = lhs_gaussian_sum(case, tol, _shared)
-    rhs, rhs_tail, xi_max, _ = rhs_L_integral(case, tol, _ev)
+def verify_case(case: PlancherelCase, _shared=None) -> CaseResult:
+    lhs, lhs_tail, n_max = lhs_gaussian_sum(case, _shared=_shared)
+    rhs, rhs_tail, xi_max, _ = rhs_L_integral(case)
     residual = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
     return CaseResult(
         q=case.chi.q,
@@ -214,38 +223,25 @@ GRID_TS = (0.25, 1.0, 4.0)
 GRID_PHIS = (0.0, 0.3, -1.7)
 
 
-def run_grid(
-    moduli=GRID_MODULI,
-    lams=GRID_LAMS,
-    Ts=GRID_TS,
-    phis=GRID_PHIS,
-    threads: int = 1,
-    tol: float = _COMPONENT_TOL,
-) -> list:
+def run_grid(moduli=GRID_MODULI, lams=GRID_LAMS, Ts=GRID_TS, phis=GRID_PHIS) -> list:
     """All (primitive nonprincipal chi, phi, T, lam) cases in canonical order.
 
-    Twisted-value arrays are shared per (chi, phi) across the lam/T block;
-    worst-case n_max governs the shared length.
+    Each (chi, phi) block shares one twisted-value array, sized for the
+    largest n_max over lams and Ts, across its lam/T cases.  A block's
+    cases run right after its array is built, and the array is dropped
+    before the next block is built, so peak memory is that of one block.
     """
-    n_worst = max(required_n_max(lam, T, tol) for lam in lams for T in Ts)
-    jobs = []
+    n_worst = max(required_n_max(lam, T) for lam in lams for T in Ts)
+    logn = np.log(np.arange(1, n_worst + 1, dtype=np.float64))
+    results = []
     for q in moduli:
         for chi in dirichlet.enumerate_characters(q, primitive_only=True):
             if chi.is_principal:
                 continue
-            ev = LEvaluator(chi)
             for phi in phis:
-                vals = _twist_values(chi, phi, n_worst)
-                logn = np.log(np.arange(1, n_worst + 1, dtype=np.float64))
-                shared = (vals, logn)
+                shared = (_twist_values(chi, phi, n_worst), logn)
                 for T in Ts:
                     for lam in lams:
-                        jobs.append((PlancherelCase(chi, phi, lam, T), shared, ev))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda j: verify_case(j[0], tol, j[1], j[2]), jobs)
-            )
-    else:
-        results = [verify_case(c, tol, sh, ev) for c, sh, ev in jobs]
+                        results.append(verify_case(PlancherelCase(chi, phi, lam, T), shared))
+                del shared
     return results

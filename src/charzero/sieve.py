@@ -15,27 +15,14 @@ DEFAULT_SIEVE_LIMIT = 10**8
 
 _SEGMENT = 1 << 22  # segment length keeps peak memory near 4 MB per block
 
-_sieve_limit = DEFAULT_SIEVE_LIMIT
 _cache_n = 0
 _cache_primes = np.empty(0, dtype=np.int64)
 
 
-def sieve_limit() -> int:
-    return _sieve_limit
-
-
-def set_sieve_limit(n: int) -> None:
-    """Raise or lower the hard cap on sieve arguments (default 10^8)."""
-    if n < 2:
-        raise ValueError("sieve limit must be at least 2")
-    global _sieve_limit
-    _sieve_limit = int(n)
-
-
 def check_limit(n: float, what: str = "argument") -> None:
-    if n > _sieve_limit:
+    if n > DEFAULT_SIEVE_LIMIT:
         raise SieveLimitError(
-            f"{what} {n} exceeds the configured sieve limit {_sieve_limit}"
+            f"{what} {n} exceeds the sieve limit {DEFAULT_SIEVE_LIMIT}"
         )
 
 

@@ -94,11 +94,11 @@ def _check_rect_window(rect: Rectangle, window: Window) -> None:
         window.validate(z)
 
 
-def count_zeros(chi: dirichlet.Character, rect: Rectangle, evaluator=None) -> int:
+def count_zeros(chi: dirichlet.Character, rect: Rectangle) -> int:
     """Winding number of xi around the rectangle; auto-perturbs the contour
     outward up to 5 times if it runs into a zero."""
     _require_primitive(chi)
-    ev = evaluator or LEvaluator(chi)
+    ev = LEvaluator(chi)
     _check_rect_window(rect, ev.window)
     err = None
     for attempt in range(6):
@@ -219,7 +219,7 @@ def locate_zeros(
     _require_primitive(chi)
     ev = LEvaluator(chi)
     _check_rect_window(rect, ev.window)
-    target = count_zeros(chi, rect, evaluator=ev)
+    target = count_zeros(chi, rect)
     records = _locate_at_spacing(chi, ev, rect, spacing)
     if len(records) != target and spacing > 0.01:
         records = _locate_at_spacing(chi, ev, rect, 0.01)

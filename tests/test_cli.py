@@ -211,10 +211,10 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
 
 
 def test_seed_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--seed", "7", "constants"])
-    assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    for argv in (["--seed", "7", "constants"], ["--threads", "4", "constants"]):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and "error:" in err
 
 
 def test_readme_cli_examples_run(capsys):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import pytest
 
 from charzero import dirichlet, plancherel
-from charzero.errors import DomainError
+from charzero.errors import ConvergenceError, DomainError
 
 CHI4 = dirichlet.character(4, 3)
 
@@ -77,3 +78,25 @@ def test_small_grid_runs():
     results = plancherel.run_grid(moduli=(3, 4), lams=(0.0, 0.5), Ts=(1.0,), phis=(0.0,))
     assert len(results) == 4  # two primitive characters, two lams
     assert all(r.residual <= 1e-9 for r in results)
+
+
+def test_rhs_unconverged_raises():
+    # 12 doublings cannot bring two Simpson estimates within 1e-300
+    case = plancherel.PlancherelCase(dirichlet.character(3, 2), 0.0, 0.25, 1.0)
+    with pytest.raises(ConvergenceError, match="262144 intervals"):
+        plancherel.rhs_L_integral(case, tol=1e-300)
+
+
+def test_grid_peak_memory_flat_in_blocks():
+    # q = 5, lam = 1/2, T = 1/4: three characters, each (chi, phi) block
+    # sharing 2.5 million twisted values; a second phi doubles the blocks
+    def peak(phis):
+        tracemalloc.start()
+        try:
+            plancherel.run_grid(moduli=(5,), lams=(0.5,), Ts=(0.25,), phis=phis)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, two = peak((0.3,)), peak((0.3, -1.7))
+    assert two <= 1.2 * one, (one, two)
