@@ -1,7 +1,9 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from scipy.special import erfc
 
 from charzero import dirichlet, plancherel
 from charzero.errors import ConvergenceError, DomainError
@@ -31,6 +33,23 @@ def test_lhs_tail_honest():
     v2, _, n2 = plancherel.lhs_gaussian_sum(case, tol=1e-14)
     assert n2 > n1
     assert abs(v1 - v2) <= tail1 + 1e-12
+
+
+@pytest.mark.parametrize("q, conrey, phi", [(7, 3, 0.9), (7, 3, 0.0), (11, 2, -1.7)])
+def test_lhs_matches_per_n_sum(q, conrey, phi):
+    # lam = 1/2, T = 1/4 runs n to 2.5 million: about 39 chunk boundaries, and
+    # neither 7 nor 11 divides the chunk length, so a residue class misplaced
+    # at a chunk edge would show here
+    chi = dirichlet.character(q, conrey)
+    assert chi.order > 2
+    lam, T = 0.5, 0.25
+    value, _, n_max = plancherel.lhs_gaussian_sum(plancherel.PlancherelCase(chi, phi, lam, T))
+    n = np.arange(1, n_max + 1)
+    logn = np.log(n)
+    z = math.sqrt(T / 2.0) * (logn - (lam - 1.0) / T)
+    terms = dirichlet.value_table(chi)[n % q] * np.exp(-1j * phi * logn) * erfc(z)
+    direct = math.pi * math.exp((lam - 1.0) ** 2 / (2.0 * T)) * complex(np.sum(terms))
+    assert abs(value - direct) <= 1e-13 * abs(direct), (value, direct)
 
 
 def test_lhs_against_quadrature_oracle():
@@ -80,11 +99,21 @@ def test_small_grid_runs():
     assert all(r.residual <= 1e-9 for r in results)
 
 
+def test_run_grid_rows_equal_verify_case():
+    # lam = 0 stops its erfc sum chunks before lam = 1/4 does; q = 4 divides
+    # the chunk length and q = 7 does not
+    rows = plancherel.run_grid(moduli=(4, 7), lams=(0.0, 0.25), Ts=(0.25,), phis=(0.0, 0.3))
+    assert len(rows) == (1 + 5) * 2 * 2
+    for row in rows:
+        chi = dirichlet.character(row.q, row.conrey)
+        assert row == plancherel.verify_case(plancherel.PlancherelCase(chi, row.phi, row.lam, row.T))
+
+
 def test_rhs_unconverged_raises():
-    # 12 doublings cannot bring two Simpson estimates within 1e-300
+    # the stop test |new - est| < 0 never holds, so all 12 doublings run
     case = plancherel.PlancherelCase(dirichlet.character(3, 2), 0.0, 0.25, 1.0)
-    with pytest.raises(ConvergenceError, match="262144 intervals"):
-        plancherel.rhs_L_integral(case, tol=1e-300)
+    with pytest.raises(ConvergenceError, match="trapezoid .* 262144 intervals"):
+        plancherel.rhs_L_integral(case, tol=0.0)
 
 
 def test_grid_peak_memory_flat_in_blocks():
@@ -100,3 +129,14 @@ def test_grid_peak_memory_flat_in_blocks():
 
     one, two = peak((0.3,)), peak((0.3, -1.7))
     assert two <= 1.2 * one, (one, two)
+
+
+def test_grid_peak_memory_bounded():
+    # the erfc sums stream n in chunks; no array spans all 2.5 million terms
+    tracemalloc.start()
+    try:
+        plancherel.run_grid(moduli=(5,), lams=(0.5,), Ts=(0.25,), phis=(0.3,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20, peak
