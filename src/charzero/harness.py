@@ -116,9 +116,7 @@ def _audit_one(chi: dirichlet.Character, config: ScenarioConfig) -> AuditRow:
     x = q**config.eps
     s_abs = abs(dirichlet.partial_sum(chi, x).value)
     if config.selector == "fixed-window":
-        rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
-        found = zeros.locate_zeros(chi, rect)
-        count = len(found)
+        count = zeros.count_zeros(chi, zeros.Rectangle(0.75, 1.0, -0.25, 0.25))
         bound = c.sum_bound_C * x / math.log(x) ** 0.01 if x > 1 else x
         hyp_ok = config.eps > logq ** (-1.0 / 3.0)
     else:
@@ -143,7 +141,7 @@ def _audit_one(chi: dirichlet.Character, config: ScenarioConfig) -> AuditRow:
     sigma_lo = 1.0 - c.abs_c / (config.eps**8 * logq)
     height = min(c.abs_c / config.eps, 45.0)
     near_rect = zeros.Rectangle(max(1e-3, sigma_lo), 1.0, -height, height)
-    near = zeros.locate_zeros(chi, near_rect) if sigma_lo < 1.0 else []
+    near = sigma_lo < 1.0 and zeros.count_zeros(chi, near_rect) > 0
     return AuditRow(
         q=q,
         conrey=chi.conrey,
@@ -160,7 +158,7 @@ def _audit_one(chi: dirichlet.Character, config: ScenarioConfig) -> AuditRow:
         vacuous=vacuous,
         near_one_sigma=sigma_lo,
         near_one_height=height,
-        near_one_has_zero=bool(near),
+        near_one_has_zero=near,
         large_sum_hypothesis=s_abs >= config.eps * x,
     )
 
@@ -170,8 +168,11 @@ def corollary_zero_budget_audit(config: ScenarioConfig) -> AuditReport:
     the eps^2 log q budget, |S(q^eps, chi)| versus the predicted bound, and
     the near-1 rectangle report.
 
-    fixed-window counts zeros in Re >= 3/4, |Im| <= 1/4; twisted-window
-    takes the worst window |Im - phi| <= 1/4 over |phi| <= T.  Rows come in
+    Counts come from the argument principle (`zeros.count_zeros`):
+    fixed-window counts zeros in Re >= 3/4, |Im| <= 1/4, and
+    near_one_has_zero is a nonzero count on the near-1 rectangle.  Only
+    twisted-window, which takes the worst window |Im - phi| <= 1/4 over
+    |phi| <= T, needs ordinates and locates its zeros.  Rows come in
     (q, conrey) order: moduli ascend and each modulus lists its characters
     by Conrey label.
     """

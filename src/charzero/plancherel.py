@@ -64,15 +64,23 @@ def _erfc_class_sums(q: int, phi: float, lam_Ts, tol: float):
     n_maxes = [required_n_max(lam, T, tol) for lam, T in lam_Ts]
     sums = np.zeros((len(lam_Ts), q), dtype=np.complex128)
     step = _CHUNK // q * q
+    twist = np.empty(step, dtype=np.complex128)
     for start in range(1, max(n_maxes) + 1, step):
         logn = np.log(np.arange(start, start + step, dtype=np.float64))
-        twist = np.exp(-1j * phi * logn)
+        if phi:
+            # n^{-i phi} = cos(phi log n) - i sin(phi log n), written in place
+            arg = phi * logn
+            np.cos(arg, out=twist.real)
+            np.sin(arg, out=twist.imag)
+            np.negative(twist.imag, out=twist.imag)
         for k, ((lam, T), n_max) in enumerate(zip(lam_Ts, n_maxes)):
             m = min(step, n_max - start + 1)
             if m <= 0:
                 continue
             terms = np.zeros(-(-m // q) * q, dtype=np.complex128)
-            terms[:m] = twist[:m] * erfc(math.sqrt(T / 2.0) * (logn[:m] - (lam - 1.0) / T))
+            terms[:m] = erfc(math.sqrt(T / 2.0) * (logn[:m] - (lam - 1.0) / T))
+            if phi:
+                terms[:m] *= twist[:m]
             # summing rows of the transposed copy is pairwise, hence accurate
             sums[k] += np.ascontiguousarray(terms.reshape(-1, q).T).sum(axis=1)
     # column c holds the class n = c + 1 mod q

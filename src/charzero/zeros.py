@@ -213,13 +213,15 @@ def locate_zeros(
 ) -> list:
     """All zeros in the rectangle, cross-checked against the winding count.
 
-    On a count mismatch the scan is retried once at spacing 0.01, then the
-    mismatch is an error: an incomplete search must never pass silently.
+    A winding count of 0 certifies an empty box, so it returns [] without a
+    scan.  Otherwise, on a count mismatch the scan is retried once at spacing
+    0.01, then the mismatch is an error: an incomplete search must never pass
+    silently.
     """
-    _require_primitive(chi)
-    ev = LEvaluator(chi)
-    _check_rect_window(rect, ev.window)
     target = count_zeros(chi, rect)
+    if target == 0:
+        return []
+    ev = LEvaluator(chi)
     records = _locate_at_spacing(chi, ev, rect, spacing)
     if len(records) != target and spacing > 0.01:
         records = _locate_at_spacing(chi, ev, rect, 0.01)

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from charzero import harness, multfn, spectral
+from charzero import dirichlet, harness, multfn, spectral, zeros
 from charzero.errors import DomainError
 
 LEG5 = multfn.parse_function("char:5.4")
@@ -90,6 +90,39 @@ def test_audit_json_deterministic():
     assert {row["q"] for row in payload["rows"]} == {3, 4, 5}
     keys = [(row["q"], row["conrey"]) for row in payload["rows"]]
     assert keys == sorted(keys)
+
+
+def test_audit_counts_match_located_zeros():
+    # rows read winding counts; locating the zeros of the same rectangles
+    # (|L| grid scan and Newton wherever the count is nonzero) is a second
+    # route to the same numbers.  The Re >= 3/4 windows hold no zeros here;
+    # the near-1 rectangles reach the critical line, and some hold zeros.
+    fixed = harness.ScenarioConfig(q_min=3, q_max=20, eps=0.9)
+    twisted = harness.ScenarioConfig(
+        q_min=5, q_max=7, eps=0.9, T=1.5, selector="twisted-window"
+    )
+    near_flags = []
+    for cfg in (fixed, twisted):
+        for r in harness.corollary_zero_budget_audit(cfg).rows:
+            chi = dirichlet.character(r.q, r.conrey)
+            if cfg is fixed:
+                rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
+                assert r.zero_count == len(zeros.locate_zeros(chi, rect))
+            else:
+                span = cfg.T + 0.25
+                rect = zeros.Rectangle(0.75, 1.0, -span, span)
+                gammas = [z.gamma for z in zeros.locate_zeros(chi, rect)]
+                assert r.zero_count == harness._max_window_count(
+                    gammas, 0.25, -cfg.T, cfg.T
+                )
+            near_rect = zeros.Rectangle(
+                max(1e-3, r.near_one_sigma), 1.0, -r.near_one_height, r.near_one_height
+            )
+            located_near = zeros.locate_zeros(chi, near_rect)
+            assert r.near_one_has_zero == bool(located_near)
+            near_flags.append(r.near_one_has_zero)
+    # both outcomes of the near-1 count occur
+    assert any(near_flags) and not all(near_flags)
 
 
 def test_census_frozen_point():

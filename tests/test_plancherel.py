@@ -117,8 +117,8 @@ def test_rhs_unconverged_raises():
 
 
 def test_grid_peak_memory_flat_in_blocks():
-    # q = 5, lam = 1/2, T = 1/4: three characters, each (chi, phi) block
-    # sharing 2.5 million twisted values; a second phi doubles the blocks
+    # q = 5, lam = 1/2, T = 1/4: three characters and 2.5 million erfc
+    # terms per phi, streamed in chunks; a second phi doubles the passes
     def peak(phis):
         tracemalloc.start()
         try:

@@ -210,3 +210,16 @@ def test_newton_seed_leaving_box_is_dropped_alone():
         assert (want is None) == (got is None)
         if want is not None:
             assert abs(want[0] - got[0]) <= 1e-12
+
+
+def test_locate_zeros_empty_box_skips_scan(monkeypatch):
+    # a winding count of 0 certifies the box empty: no grid scan, no Newton
+    def fail(*args, **kwargs):
+        raise AssertionError("scanned an empty box")
+
+    monkeypatch.setattr(zeros.LEvaluator, "grid", fail)
+    monkeypatch.setattr(zeros, "_newton_polish", fail)
+    rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
+    for chi in (CHI4, dirichlet.character(51, 2)):
+        assert zeros.count_zeros(chi, rect) == 0
+        assert zeros.locate_zeros(chi, rect) == []
