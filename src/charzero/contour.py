@@ -38,18 +38,29 @@ def _edge_increment(func, a: complex, b: complex, init_points: int) -> float:
     raise ContourError("argument tracking failed to settle")
 
 
-def winding_number(func, corners, points_per_unit: float = 20.0) -> int:
-    """Zero count (argument principle) of an analytic func inside the closed
-    polygon through `corners`.  func must accept a complex ndarray.
+def arg_change(func, path, points_per_unit: float = 20.0) -> float:
+    """Total change of arg func along the open polyline through `path`.
+
+    func must accept a complex ndarray.
     """
     total = 0.0
-    m = len(corners)
-    for i in range(m):
-        a, b = corners[i], corners[(i + 1) % m]
+    for a, b in zip(path[:-1], path[1:]):
         n0 = int(math.ceil(abs(b - a) * points_per_unit)) + 4
         total += _edge_increment(func, a, b, n0)
-    turns = total / (2.0 * math.pi)
+    return total
+
+
+def whole_turns(turns: float) -> int:
+    """The integer nearest a tracked turn count; raises if it drifted off."""
     k = round(turns)
     if abs(turns - k) > 0.05:
         raise ContourError(f"winding drifted off an integer: {turns}")
     return int(k)
+
+
+def winding_number(func, corners, points_per_unit: float = 20.0) -> int:
+    """Zero count (argument principle) of an analytic func inside the closed
+    polygon through `corners`.  func must accept a complex ndarray.
+    """
+    closed = list(corners) + [corners[0]]
+    return whole_turns(arg_change(func, closed, points_per_unit) / (2.0 * math.pi))

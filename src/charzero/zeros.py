@@ -1,9 +1,16 @@
 """Nontrivial zeros of L(s, chi): counting, locating, and the zero-sum checks.
 
 Counting uses the completed xi along rectangle boundaries (no Gamma poles or
-trivial zeros interfere inside the strip); locating scans |L| on a grid and
-polishes with Newton on numerically differentiated L.  Counts from the two
-routes must agree exactly.
+trivial zeros interfere inside the strip); a box symmetric about Re s = 1/2
+is counted from its right half through the functional equation.  Locating
+has two routes, picked by the box:
+- "critical-line": on a box straddling Re s = 1/2, the sign changes of the
+  real Hardy function Z(t) are counted at the scan spacing.  When they number
+  the winding count, every zero is simple and on the line, and each is
+  refined on the line by a bracketing root finder (beta = 1/2 exactly).
+- "grid+newton": otherwise |L| is scanned on a grid and the local minima are
+  polished with Newton on numerically differentiated L.
+Either way the located zeros must number the winding count exactly.
 """
 from __future__ import annotations
 
@@ -15,16 +22,20 @@ import numpy as np
 from . import contour, dirichlet, multfn
 from .errors import (
     ContourError,
+    ConvergenceError,
     CountMismatchError,
     CoverageError,
     DomainError,
-    WindowError,
 )
 from .lfunction import LEvaluator, Window, _density_tail
 
 _PERTURB = 1.37e-4
 _NEWTON_H = 1e-6
 _RESIDUAL_TARGET = 1e-10
+# the critical-line root finder: bracket width at which a root is settled,
+# and the step cap past which it raises
+_GAMMA_TOL = 1e-13
+_FINDER_CAP = 60
 # C in the smoothed bound |L(1 - lam + it)| <= C (1/lam) exp(sum 2 lam^2/|s0 - rho|^2)
 _LEMMA_C = 10.0
 
@@ -96,18 +107,81 @@ def _check_rect_window(rect: Rectangle, window: Window) -> None:
 
 def count_zeros(chi: dirichlet.Character, rect: Rectangle) -> int:
     """Winding number of xi around the rectangle; auto-perturbs the contour
-    outward up to 5 times if it runs into a zero."""
+    outward up to 5 times if it runs into a zero.
+
+    A box symmetric about Re s = 1/2 is counted from its right half alone:
+    xi(s) = eps conj(xi(1 - conj(s))) gives the left half the same argument
+    change, so the winding number is the change along
+    1/2 + it1 -> sigma2 + it1 -> sigma2 + it2 -> 1/2 + it2 divided by pi.
+    """
     _require_primitive(chi)
     ev = LEvaluator(chi)
     _check_rect_window(rect, ev.window)
+    symmetric = rect.sigma1 + rect.sigma2 == 1.0
     err = None
     for attempt in range(6):
         r = rect.expand(attempt * _PERTURB)
         try:
-            return contour.winding_number(ev.xi_values, r.corners())
+            if not symmetric:
+                return contour.winding_number(ev.xi_values, r.corners())
+            half = (
+                complex(0.5, r.t1),
+                complex(r.sigma2, r.t1),
+                complex(r.sigma2, r.t2),
+                complex(0.5, r.t2),
+            )
+            return contour.whole_turns(contour.arg_change(ev.xi_values, half) / math.pi)
         except ContourError as exc:
             err = exc
     raise ContourError(f"contour unusable after 5 perturbations: {err}")
+
+
+def hardy_z(chi: dirichlet.Character, t):
+    """Z(t) = xi(1/2 + it) eps^(-1/2), eps = tau(chi) / (i^a sqrt q).
+
+    The functional equation xi(s) = eps conj(xi(1 - conj(s))) makes Z real;
+    the complex value is returned so that its rounding can be checked.
+    """
+    eps = dirichlet.gauss_sum(chi) / (1j**chi.parity * math.sqrt(chi.q))
+    s = 0.5 + 1j * np.asarray(t, dtype=np.float64)
+    return LEvaluator(chi).xi_values(s) / np.sqrt(eps)
+
+
+def _refine_on_line(chi, a, b, za, zb):
+    """Roots of the real Z in the brackets [a_i, b_i], za and zb of opposite
+    signs, by the Illinois method with one hardy_z call per step.
+
+    A bracket stops once it is at most _GAMMA_TOL wide or Z vanishes at its
+    new point; each root is the end with the smaller |Z|.
+    """
+    a, b, za, zb = (np.array(v, dtype=np.float64) for v in (a, b, za, zb))
+    kept = np.zeros(len(a), dtype=int)  # end kept last step: -1 a, +1 b, 0 none
+    for _ in range(_FINDER_CAP):
+        live = np.nonzero(b - a > _GAMMA_TOL)[0]
+        if not live.size:
+            return np.where(np.abs(za) <= np.abs(zb), a, b)
+        al, bl, zal, zbl = a[live], b[live], za[live], zb[live]
+        c = bl - zbl * (bl - al) / (zbl - zal)
+        # step at least half the tolerance in from each end, so a root sitting
+        # at an end closes its bracket on the next step
+        c = np.clip(c, al + 0.5 * _GAMMA_TOL, bl - 0.5 * _GAMMA_TOL)
+        zc = hardy_z(chi, c).real
+        hit = zc == 0
+        a[live[hit]] = b[live[hit]] = c[hit]
+        # replace the end whose sign zc shares; halve the other end's value
+        # when it was kept twice running, so both ends keep moving
+        to_a = ~hit & (np.sign(zc) == np.sign(zal))
+        to_b = ~hit & ~to_a
+        ia, ib = live[to_a], live[to_b]
+        a[ia], za[ia] = c[to_a], zc[to_a]
+        b[ib], zb[ib] = c[to_b], zc[to_b]
+        zb[ia[kept[ia] == 1]] *= 0.5
+        za[ib[kept[ib] == -1]] *= 0.5
+        kept[ia], kept[ib] = 1, -1
+    raise ConvergenceError(
+        f"critical-line root finder did not settle in {_FINDER_CAP} steps "
+        f"(q={chi.q}, conrey={chi.conrey})"
+    )
 
 
 def _newton_polish(ev: LEvaluator, seeds, rect: Rectangle) -> list:
@@ -208,19 +282,56 @@ def _locate_at_spacing(chi, ev, rect, spacing):
     ]
 
 
+def _locate_on_line(chi, rect: Rectangle, spacing: float, target: int):
+    """Zeros on the box's piece of Re s = 1/2, or None unless Z has exactly
+    `target` sign changes there at step `spacing`.
+
+    Each sign change is a zero on the line, so when they number the winding
+    count every zero in the box is simple and on the line.
+    """
+    n = max(1, math.ceil((rect.t2 - rect.t1) / spacing))
+    ts = np.linspace(rect.t1, rect.t2, n + 1)
+    z = hardy_z(chi, ts).real
+    sign = np.sign(z)
+    lo = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    if len(lo) != target or not sign.all():
+        return None
+    gammas = _refine_on_line(chi, ts[lo], ts[lo + 1], z[lo], z[lo + 1])
+    lvals, _ = LEvaluator(chi).values(0.5 + 1j * gammas)
+    return [
+        ZeroRecord(
+            q=chi.q,
+            conrey=chi.conrey,
+            beta=0.5,
+            gamma=float(g),
+            residual=float(r),
+            method="critical-line",
+        )
+        for g, r in zip(gammas, np.abs(lvals))
+    ]
+
+
 def locate_zeros(
     chi: dirichlet.Character, rect: Rectangle, spacing: float = 0.05
 ) -> list:
     """All zeros in the rectangle, cross-checked against the winding count.
 
     A winding count of 0 certifies an empty box, so it returns [] without a
-    scan.  Otherwise, on a count mismatch the scan is retried once at spacing
-    0.01, then the mismatch is an error: an incomplete search must never pass
-    silently.
+    scan.  A box with sigma1 < 1/2 < sigma2 first scans the real Hardy Z at
+    `spacing` along its piece of the line; if the sign changes number the
+    winding count, every zero is refined on the line (beta = 1/2 exactly,
+    method "critical-line").  Otherwise, and on every other box, |L| is
+    scanned on a grid and polished by Newton (method "grid+newton"); on a
+    count mismatch that scan is retried once at spacing 0.01, then the
+    mismatch is an error: an incomplete search must never pass silently.
     """
     target = count_zeros(chi, rect)
     if target == 0:
         return []
+    if rect.sigma1 < 0.5 < rect.sigma2:
+        records = _locate_on_line(chi, rect, spacing, target)
+        if records is not None:
+            return records
     ev = LEvaluator(chi)
     records = _locate_at_spacing(chi, ev, rect, spacing)
     if len(records) != target and spacing > 0.01:
@@ -378,15 +489,11 @@ def disk_count_audit(
     phi = data.phi
     radius = L_param * math.log(chi.q) / logx**2
     disk = Disk(center=complex(1.0, phi), radius=radius)
-    ev = LEvaluator(chi)
     lo = max(1e-4, 1.0 - radius)
     if lo >= 1.0 or radius <= 1e-9:
         count = 0
     else:
         rect = Rectangle(lo, 1.0, phi - radius, phi + radius)
-        for z in rect.corners():
-            if not ev.window.contains(z):
-                raise WindowError(f"disk region corner {z} outside the window")
         inside = [r for r in locate_zeros(chi, rect) if disk.contains(r.rho)]
         count = len(inside)
     x_range_ok = math.exp(math.sqrt(math.log(chi.q))) <= x <= math.sqrt(chi.q)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charzero.contour import winding_number
+from charzero.contour import arg_change, winding_number
 from charzero.errors import ContourError
 
 SQUARE = [-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j]
@@ -37,3 +37,10 @@ def test_entire_nonvanishing():
 def test_zero_on_contour_raises():
     with pytest.raises(ContourError):
         winding_number(lambda z: z - 1, SQUARE)
+
+
+def test_open_path_arg_change():
+    # z turns through half a revolution from 1 to -1 over the upper half plane
+    path = [1 + 0j, 1 + 1j, -1 + 1j, -1 + 0j]
+    assert arg_change(lambda z: z, path) == pytest.approx(np.pi, abs=1e-12)
+    assert arg_change(lambda z: z, path[::-1]) == pytest.approx(-np.pi, abs=1e-12)

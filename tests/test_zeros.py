@@ -3,10 +3,13 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from charzero import dirichlet, harness, zeros
+from charzero import contour, dirichlet, harness, zeros
 from charzero.errors import (
+    ContourError,
+    CountMismatchError,
     CoverageError,
     DomainError,
     WindowError,
@@ -223,3 +226,92 @@ def test_locate_zeros_empty_box_skips_scan(monkeypatch):
     for chi in (CHI4, dirichlet.character(51, 2)):
         assert zeros.count_zeros(chi, rect) == 0
         assert zeros.locate_zeros(chi, rect) == []
+
+
+def _closed_count(chi, rect):
+    """Closed-contour winding count with count_zeros's outward perturbation
+    (an even character's closed contour meets s = 0)."""
+    ev = zeros.LEvaluator(chi)
+    for attempt in range(6):
+        try:
+            r = rect.expand(attempt * zeros._PERTURB)
+            return contour.winding_number(ev.xi_values, r.corners())
+        except ContourError:
+            pass
+    raise AssertionError(f"closed contour unusable for {chi.q}.{chi.conrey}")
+
+
+def test_half_count_matches_closed_winding():
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    for q in range(3, 31):
+        for chi in dirichlet.enumerate_characters(q, primitive_only=True):
+            assert zeros.count_zeros(chi, rect) == _closed_count(chi, rect), (q, chi.conrey)
+
+
+def test_symmetric_count_stays_right_of_line(monkeypatch):
+    seen = []
+    xi_values = zeros.LEvaluator.xi_values
+
+    def recording(self, s):
+        seen.append(np.min(np.real(s)))
+        return xi_values(self, s)
+
+    monkeypatch.setattr(zeros.LEvaluator, "xi_values", recording)
+    # 5.4 is even, so a closed contour through s = 0 would have to perturb
+    for chi in (CHI4, dirichlet.character(5, 4), dirichlet.character(23, 9)):
+        for rect in (zeros.Rectangle(0, 1, 0, 20), zeros.Rectangle(0.25, 0.75, -3, 12)):
+            zeros.count_zeros(chi, rect)
+    assert seen and min(seen) >= 0.5 - 6 * zeros._PERTURB
+
+
+def test_hardy_z_real_on_scan_points():
+    ts = np.linspace(0.0, 20.0, 401)
+    for q in range(3, 31):
+        for chi in dirichlet.enumerate_characters(q, primitive_only=True):
+            z = zeros.hardy_z(chi, ts)
+            assert np.all(np.abs(z.imag) <= 1e-9 * np.abs(z)), (q, chi.conrey)
+
+
+def test_critical_line_matches_grid_newton():
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    for q, conrey in ((4, 3), (5, 2), (23, 9), (24, 5)):
+        chi = dirichlet.character(q, conrey)
+        recs = zeros.locate_zeros(chi, rect)
+        ref = zeros._locate_at_spacing(chi, zeros.LEvaluator(chi), rect, 0.05)
+        assert len(recs) == len(ref) == zeros.count_zeros(chi, rect)
+        for r, g in zip(recs, ref):
+            assert r.method == "critical-line" and r.beta == 0.5
+            assert abs(r.gamma - g.gamma) <= 1e-12
+            assert r.residual <= 1e-10
+
+
+def test_coarse_line_scan_falls_back(monkeypatch):
+    calls = []
+    hardy_z = zeros.hardy_z
+
+    def counting(chi, t):
+        calls.append(np.size(t))
+        return hardy_z(chi, t)
+
+    monkeypatch.setattr(zeros, "hardy_z", counting)
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    # five points 5 apart miss most of the five sign changes
+    recs = zeros.locate_zeros(CHI4, rect, spacing=5.0)
+    assert calls == [5]
+    assert len(recs) == len(CHI4_HEIGHTS)
+    assert all(r.method == "grid+newton" for r in recs)
+    for r, want in zip(recs, CHI4_HEIGHTS):
+        assert r.gamma == pytest.approx(want, abs=1e-6)
+
+
+def test_off_line_box_never_calls_hardy_z(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("scanned the line of a box that does not straddle it")
+
+    monkeypatch.setattr(zeros, "hardy_z", fail)
+    for chi in (CHI4, dirichlet.character(51, 2)):
+        assert zeros.locate_zeros(chi, zeros.Rectangle(0.75, 1.0, -2.0, 2.0)) == []
+    # a box whose edge is the line holds its zeros only after the count
+    # perturbs outward; grid+Newton scans the box itself and comes up short
+    with pytest.raises(CountMismatchError):
+        zeros.locate_zeros(CHI4, zeros.Rectangle(0, 0.5, 0, 20))
