@@ -161,9 +161,9 @@ def _cmd_lvalue(args, constants):
     ev = LEvaluator(chi)
     s = complex(args.sigma, args.t)
     if args.xi:
-        val, bound = ev.xi(s), None
+        val, bound = ev.xi_values(s), None
     else:
-        val, bound = ev.L(s)
+        val, bound = ev.values(s)
         bound = float(bound)
     row = {
         "q": args.q,

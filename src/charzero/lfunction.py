@@ -4,6 +4,12 @@ L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), with each Hurwitz zeta
 evaluated by Euler-Maclaurin and a certified remainder bound.  The completed
 function xi multiplies in the (q/pi)^((s+a)/2) Gamma((s+a)/2) factor and is
 the object used for argument-principle work.
+
+One evaluator, LEvaluator(chi), does all of it and has no options: `values`
+gives L with its bounds, `xi_values` gives xi, and `grid` gives L on a
+sigma x t mesh.  The kernel always runs Bernoulli terms through B_20 past the
+shift N = _shift_n(largest |t|), and every point is checked against the one
+fixed window WINDOW: -1 <= sigma <= 3, |t| <= 50.
 """
 from __future__ import annotations
 
@@ -46,29 +52,14 @@ _BERN_OVER_FACT = {
 _CHUNK = 1 << 15
 
 
-@dataclass(frozen=True)
-class HurwitzParams:
-    """Euler-Maclaurin truncation controls.
+# Euler-Maclaurin depth: the tail series runs through B_20
+_BERNOULLI = 20
 
-    shift_terms = 0 means automatic: N = max(50, ceil(2 |Im s|)), which keeps
-    the remainder decreasing on the supported window.  bernoulli_terms must be
-    even and at most 30.
-    """
 
-    shift_terms: int = 0
-    bernoulli_terms: int = 20
-
-    def __post_init__(self):
-        b = self.bernoulli_terms
-        if b % 2 != 0 or not (2 <= b <= 30):
-            raise DomainError("bernoulli_terms must be even and within [2, 30]")
-        if self.shift_terms < 0:
-            raise DomainError("shift_terms must be nonnegative")
-
-    def resolve_n(self, im_max: float) -> int:
-        if self.shift_terms:
-            return self.shift_terms
-        return max(50, int(math.ceil(2.0 * abs(im_max))))
+def _shift_n(t_max: float) -> int:
+    """Euler-Maclaurin shift N for points with |Im s| <= t_max; N >= 2 |t_max|
+    keeps the remainder decreasing on the window."""
+    return max(50, int(math.ceil(2.0 * abs(t_max))))
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -161,17 +152,15 @@ def _em_sum(s: np.ndarray, xs: np.ndarray, weights: np.ndarray, N: int, B: int):
     return total, bound
 
 
-def hurwitz_zeta(s: complex, a: float, params: HurwitzParams | None = None):
+def hurwitz_zeta(s: complex, a: float):
     """(zeta(s, a), error bound) for 0 < a <= 1; errors at the s = 1 pole."""
     if not (0 < a <= 1):
         raise DomainError("hurwitz_zeta needs a shift in (0, 1]")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1")
-    p = params or HurwitzParams()
-    N = p.resolve_n(complex(s).imag)
     val, bound = _em_sum(
-        np.array([s], dtype=np.complex128), np.array([float(a)]), np.ones(1), N,
-        p.bernoulli_terms,
+        np.array([s], dtype=np.complex128), np.array([float(a)]), np.ones(1),
+        _shift_n(complex(s).imag), _BERNOULLI,
     )
     return complex(val[0]) + 1.0 / (complex(s) - 1.0), float(bound[0])
 
@@ -203,18 +192,15 @@ class Window:
             raise WindowError(f"point {bad} lies outside the window {self}")
 
 
+# the one window every evaluation is checked against
+WINDOW = Window()
+
+
 class LEvaluator:
     """Window-checked evaluator for one character's L and xi values."""
 
-    def __init__(
-        self,
-        chi: dirichlet.Character,
-        params: HurwitzParams | None = None,
-        window: Window | None = None,
-    ):
+    def __init__(self, chi: dirichlet.Character):
         self.chi = chi
-        self.params = params or HurwitzParams()
-        self.window = window or Window()
         if chi.q == 1:
             self._units = np.array([1.0])
             self._weights = np.array([1.0 + 0j])
@@ -226,17 +212,16 @@ class LEvaluator:
     # -- scalar / vector values ------------------------------------------
 
     def values(self, s_array, check_window: bool = True):
-        """(L values, error bounds) for an arbitrary array of points."""
+        """(L values, error bounds) for an array of points, or
+        (complex, float) for a scalar point."""
         s = np.asarray(s_array, dtype=np.complex128).ravel()
         if check_window:
-            self.window.validate(s)
+            WINDOW.validate(s)
         if self.chi.is_principal and np.any(s == 1.0):
             raise PoleError("principal character: L has a pole at s = 1")
         q = self.chi.q
-        N = self.params.resolve_n(float(np.max(np.abs(s.imag))) if s.size else 0.0)
-        vals, bounds = _em_sum(
-            s, self._units / q, self._weights, N, self.params.bernoulli_terms
-        )
+        N = _shift_n(float(np.max(np.abs(s.imag))) if s.size else 0.0)
+        vals, bounds = _em_sum(s, self._units / q, self._weights, N, _BERNOULLI)
         if self.chi.is_principal:
             vals += sieve.euler_phi(q) / (s - 1.0)
         qfac = np.exp(-s * math.log(q)) if q > 1 else 1.0
@@ -245,10 +230,6 @@ class LEvaluator:
         if np.isscalar(s_array) or np.asarray(s_array).ndim == 0:
             return complex(out[0]), float(out_bounds[0])
         return out, out_bounds
-
-    def L(self, s: complex):
-        """(L(s, chi), error bound)."""
-        return self.values(s)
 
     def grid(self, sigmas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """L on the rectangle grid sigmas x ts, exploiting separability.
@@ -260,14 +241,13 @@ class LEvaluator:
         sig = np.asarray(sigmas, dtype=np.float64)
         ts = np.asarray(ts, dtype=np.float64)
         tm = float(np.max(np.abs(ts))) if ts.size else 0.0
-        self.window.validate(complex(sig.min(), tm))
-        self.window.validate(complex(sig.max(), tm))
+        WINDOW.validate(complex(sig.min(), tm))
+        WINDOW.validate(complex(sig.max(), tm))
         q = self.chi.q
-        N = self.params.resolve_n(float(np.max(np.abs(ts))) if ts.size else 0.0)
-        B = self.params.bernoulli_terms
+        N = _shift_n(tm)
         xs = self._units / q
         s_grid = sig[:, None] + 1j * ts[None, :]
-        tail, _ = _em_tail(s_grid.ravel(), xs, self._weights, N, B)
+        tail, _ = _em_tail(s_grid.ravel(), xs, self._weights, N, _BERNOULLI)
         acc = tail.reshape(s_grid.shape)
         # main sum: n^-s = n^-sigma n^-it, one matrix product per term chunk
         logs, coef = _dirichlet_terms(xs, self._weights, N)
@@ -298,34 +278,6 @@ class LEvaluator:
             pref = np.exp(z * math.log(self.chi.q / math.pi) + log_gamma(z))
             out = pref * np.atleast_1d(lvals)
         return complex(out[0]) if scalar else out
-
-    def xi(self, s: complex) -> complex:
-        return self.xi_values(s)
-
-
-def l_value(chi: dirichlet.Character, s: complex, params: HurwitzParams | None = None):
-    """Convenience scalar L(s, chi) with error bound."""
-    return LEvaluator(chi, params).L(s)
-
-
-def xi_value(chi: dirichlet.Character, s: complex) -> complex:
-    return LEvaluator(chi).xi(s)
-
-
-def l_series_truncated(chi: dirichlet.Character, s: complex, n_max: int):
-    """Direct Dirichlet series sum_{n<=n_max} chi(n) n^{-s} with a tail bound.
-
-    Only meaningful for Re s > 1; the bound integral-compares the tail.
-    """
-    sigma = complex(s).real
-    if sigma <= 1:
-        raise DomainError("direct series needs Re s > 1")
-    table = dirichlet.value_table(chi)
-    n = np.arange(1, n_max + 1)
-    vals = table[n % chi.q] if chi.q > 1 else np.ones(n_max)
-    total = complex(np.sum(vals * np.exp(-complex(s) * np.log(n))))
-    tail = n_max ** (1 - sigma) / (sigma - 1)
-    return total, tail
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ Counting uses the completed xi along rectangle boundaries (no Gamma poles or
 trivial zeros interfere inside the strip); a box symmetric about Re s = 1/2
 is counted from its right half through the functional equation.  Locating
 has two routes, picked by the box:
-- "critical-line": on a box straddling Re s = 1/2, the sign changes of the
+- "critical-line": on a box that meets Re s = 1/2, the sign changes of the
   real Hardy function Z(t) are counted at the scan spacing.  When they number
   the winding count, every zero is simple and on the line, and each is
   refined on the line by a bracketing root finder (beta = 1/2 exactly).
 - "grid+newton": otherwise |L| is scanned on a grid and the local minima are
   polished with Newton on numerically differentiated L.
-Either way the located zeros must number the winding count exactly.
+Either way the located zeros must number the winding count exactly.  Every
+box must lie in the evaluator's fixed window, lfunction.WINDOW.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .errors import (
     CoverageError,
     DomainError,
 )
-from .lfunction import LEvaluator, Window, _density_tail
+from .lfunction import WINDOW, LEvaluator, _density_tail
 
 _PERTURB = 1.37e-4
 _NEWTON_H = 1e-6
@@ -100,11 +101,6 @@ def _require_primitive(chi: dirichlet.Character) -> None:
         raise DomainError("zero machinery needs a primitive nonprincipal character")
 
 
-def _check_rect_window(rect: Rectangle, window: Window) -> None:
-    for z in rect.corners():
-        window.validate(z)
-
-
 def count_zeros(chi: dirichlet.Character, rect: Rectangle) -> int:
     """Winding number of xi around the rectangle; auto-perturbs the contour
     outward up to 5 times if it runs into a zero.
@@ -115,8 +111,8 @@ def count_zeros(chi: dirichlet.Character, rect: Rectangle) -> int:
     1/2 + it1 -> sigma2 + it1 -> sigma2 + it2 -> 1/2 + it2 divided by pi.
     """
     _require_primitive(chi)
+    WINDOW.validate(rect.corners())
     ev = LEvaluator(chi)
-    _check_rect_window(rect, ev.window)
     symmetric = rect.sigma1 + rect.sigma2 == 1.0
     err = None
     for attempt in range(6):
@@ -203,7 +199,7 @@ def _newton_polish(ev: LEvaluator, seeds, rect: Rectangle) -> list:
     settled = []
     for _ in range(50):
         live = np.array(
-            [i for i in live if box.contains(z[i]) and ev.window.contains(z[i])],
+            [i for i in live if box.contains(z[i]) and WINDOW.contains(z[i])],
             dtype=int,
         )
         if not live.size:
@@ -316,19 +312,24 @@ def locate_zeros(
 ) -> list:
     """All zeros in the rectangle, cross-checked against the winding count.
 
-    A winding count of 0 certifies an empty box, so it returns [] without a
-    scan.  A box with sigma1 < 1/2 < sigma2 first scans the real Hardy Z at
-    `spacing` along its piece of the line; if the sign changes number the
-    winding count, every zero is refined on the line (beta = 1/2 exactly,
-    method "critical-line").  Otherwise, and on every other box, |L| is
-    scanned on a grid and polished by Newton (method "grid+newton"); on a
-    count mismatch that scan is retried once at spacing 0.01, then the
-    mismatch is an error: an incomplete search must never pass silently.
+    `spacing` must be finite and positive.  A winding count of 0 certifies an
+    empty box, so it returns [] without a scan.  A box with
+    sigma1 <= 1/2 <= sigma2 first scans the real Hardy Z at `spacing` along
+    its piece of the line; if the sign changes number the winding count,
+    every zero is refined on the line (beta = 1/2 exactly, method
+    "critical-line").  A box with an edge on the line takes this route too,
+    since its count, perturbed outward off the zeros on that edge, holds
+    them.  Otherwise, and on every other box, |L| is scanned on a grid and
+    polished by Newton (method "grid+newton"); on a count mismatch that scan
+    is retried once at spacing 0.01, then the mismatch is an error: an
+    incomplete search must never pass silently.
     """
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise DomainError(f"spacing must be finite and positive, got {spacing}")
     target = count_zeros(chi, rect)
     if target == 0:
         return []
-    if rect.sigma1 < 0.5 < rect.sigma2:
+    if rect.sigma1 <= 0.5 <= rect.sigma2:
         records = _locate_on_line(chi, rect, spacing, target)
         if records is not None:
             return records
@@ -380,8 +381,8 @@ def hadamard_ratio_check(
     ev = LEvaluator(chi)
     s0 = 1.0 + lam + 1j * t
     s1 = 1.0 - lam + 1j * t
-    L0, _ = ev.L(s0)
-    L1, _ = ev.L(s1)
+    L0, _ = ev.values(s0)
+    L1, _ = ev.values(s1)
     lhs = abs(L1) / abs(L0)
     log_prod = math.fsum(
         math.log(abs(s1 - r.rho)) - math.log(abs(s0 - r.rho)) for r in zeros

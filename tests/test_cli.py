@@ -238,6 +238,15 @@ def test_domain_error_exits_2(capsys):
     assert err.startswith("error:")
 
 
+def test_zeros_bad_spacing_exits_2(capsys):
+    for spacing in ("0", "-0.05", "nan"):
+        argv = ["zeros", "--q", "4", "--conrey", "3", "--rect", "0,1,0,20"]
+        code, out, err = run(capsys, argv + ["--spacing", spacing])
+        assert code == 2, spacing
+        assert out == ""
+        assert err.startswith("error: spacing") and err.count("\n") == 1, err
+
+
 def test_product_search_cli(capsys):
     code, out, _ = run(
         capsys,

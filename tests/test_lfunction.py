@@ -1,10 +1,11 @@
 import cmath
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from charzero import dirichlet, lfunction
+from charzero import dirichlet, lfunction, multfn
 from charzero.errors import CoverageError, DomainError, PoleError, WindowError
 
 CATALAN = 0.915965594177219015054603514932
@@ -51,39 +52,59 @@ def test_hurwitz_errors():
         lfunction.hurwitz_zeta(2.0, 1.5)
 
 
+def _em_hurwitz(s, a, N, B):
+    """(zeta(s, a) - 1/(s - 1), bound) from the kernel at shift N, depth B."""
+    val, bound = lfunction._em_sum(np.array([s]), np.array([a]), np.ones(1), N, B)
+    return complex(val[0]), float(bound[0])
+
+
 def test_error_bound_honesty():
     # a refined evaluation must stay inside the coarse run's reported bound
     rng = np.random.default_rng(20260814)
-    coarse = lfunction.HurwitzParams(shift_terms=30, bernoulli_terms=8)
-    fine = lfunction.HurwitzParams(shift_terms=200, bernoulli_terms=24)
     for _ in range(40):
         s = complex(rng.uniform(-1, 3), rng.uniform(-20, 20))
         a = float(rng.uniform(0.05, 1.0))
         if abs(s - 1) < 0.1:
             continue
-        v1, b1 = lfunction.hurwitz_zeta(s, a, coarse)
-        v2, _ = lfunction.hurwitz_zeta(s, a, fine)
+        v1, b1 = _em_hurwitz(s, a, 30, 8)
+        v2, _ = _em_hurwitz(s, a, 200, 24)
         assert abs(v1 - v2) <= b1 + 1e-11
 
 
+def test_one_kernel_configuration_and_window():
+    # one shift rule and one Bernoulli depth serve every entry point
+    assert [lfunction._shift_n(t) for t in (0.0, 25.0, -25.2, 50.0)] == [50, 50, 51, 100]
+    for s, a in ((2.0 + 0j, 1.0), (0.3 - 31.7j, 0.25), (-0.5 + 44j, 0.9)):
+        val, bound = lfunction.hurwitz_zeta(s, a)
+        ref, ref_b = _em_hurwitz(s, a, lfunction._shift_n(s.imag), lfunction._BERNOULLI)
+        assert val == ref + 1.0 / (s - 1.0) and bound == ref_b
+    assert list(inspect.signature(lfunction.LEvaluator).parameters) == ["chi"]
+    assert list(inspect.signature(lfunction.hurwitz_zeta).parameters) == ["s", "a"]
+    # the window is fixed, and its error names it in full
+    msg = "point (4+0j) lies outside the window Window(t_max=50.0, sigma_min=-1.0, sigma_max=3.0)"
+    with pytest.raises(WindowError) as err:
+        lfunction.LEvaluator(CHI4).values(4.0 + 0j)
+    assert str(err.value) == msg
+
+
 def test_l_known_values():
-    val, bound = lfunction.l_value(CHI4, 2.0)
+    val, bound = lfunction.LEvaluator(CHI4).values(2.0)
     assert val.real == pytest.approx(CATALAN, abs=1e-12)
     assert bound < 1e-9
-    val, _ = lfunction.l_value(CHI4, 1.0)
+    val, _ = lfunction.LEvaluator(CHI4).values(1.0)
     assert val.real == pytest.approx(math.pi / 4, abs=1e-12)
     chi0 = dirichlet.principal_character(6)
-    val, _ = lfunction.l_value(chi0, 2.0)
+    val, _ = lfunction.LEvaluator(chi0).values(2.0)
     assert val.real == pytest.approx(math.pi**2 / 9, abs=1e-11)
 
 
 def test_l_principal_pole():
     chi0 = dirichlet.principal_character(6)
     with pytest.raises(PoleError):
-        lfunction.l_value(chi0, 1.0)
+        lfunction.LEvaluator(chi0).values(1.0)
     # residue: (s-1) L(s) -> phi(q)/q as s -> 1
     eps = 1e-7
-    val, _ = lfunction.l_value(chi0, 1.0 + eps)
+    val, _ = lfunction.LEvaluator(chi0).values(1.0 + eps)
     assert eps * val.real == pytest.approx(2 / 6, abs=1e-6)
 
 
@@ -95,8 +116,8 @@ def test_l_against_direct_series():
         ev = lfunction.LEvaluator(chi)
         for _ in range(4):
             s = complex(rng.uniform(2.0, 3.0), rng.uniform(-20, 20))
-            lv, lb = ev.L(s)
-            sv, st = lfunction.l_series_truncated(chi, s, 200000)
+            lv, lb = ev.values(s)
+            sv, st = multfn.truncated_F(multfn.CharacterFunction(chi), s, 200000)
             assert abs(lv - sv) <= lb + st
 
 
@@ -106,8 +127,8 @@ def test_l_conjugation_symmetry():
     rng = np.random.default_rng(5)
     for _ in range(25):
         s = complex(rng.uniform(-1, 3), rng.uniform(-45, 45))
-        a, _ = ev.L(s)
-        b, _ = ev_bar.L(s.conjugate())
+        a, _ = ev.values(s)
+        b, _ = ev_bar.values(s.conjugate())
         assert b == pytest.approx(a.conjugate(), abs=1e-11 * max(1, abs(a)))
 
 
@@ -125,7 +146,7 @@ def test_grid_matches_pointwise():
         grid = ev.grid(sigmas, ts)
         for i, sg in enumerate(sigmas):
             for j, t in enumerate(ts):
-                ref, _ = ev.L(complex(sg, t))
+                ref, _ = ev.values(complex(sg, t))
                 assert grid[i, j] == pytest.approx(ref, abs=1e-10 * max(1, abs(ref)))
 
 
@@ -140,7 +161,7 @@ def test_values_batch_spanning_chunks_matches_pointwise():
     assert len(s) > lfunction._CHUNK // shifts
     vals, bounds = ev.values(s)
     for pt, val, bnd in zip(s, vals, bounds):
-        ref, ref_b = ev.L(complex(pt))
+        ref, ref_b = ev.values(complex(pt))
         assert abs(val - ref) <= 1e-12 * max(1, abs(ref))
         assert bnd == pytest.approx(ref_b, rel=1e-12)
 
@@ -163,9 +184,9 @@ def test_values_match_mpmath_dirichlet():
 def test_window_enforced():
     ev = lfunction.LEvaluator(CHI4)
     with pytest.raises(WindowError):
-        ev.L(4.0 + 0j)
+        ev.values(4.0 + 0j)
     with pytest.raises(WindowError):
-        ev.L(0.5 + 51j)
+        ev.values(0.5 + 51j)
     with pytest.raises(WindowError):
         ev.grid(np.array([0.5]), np.array([80.0]))
     # a batch names its first point outside the window; NaN is outside
@@ -174,10 +195,6 @@ def test_window_enforced():
         ev.values(batch)
     with pytest.raises(WindowError, match="nan"):
         ev.values(np.array([0.5 + 1j, complex(math.nan, 2.0)]))
-    # explicit window override widens the domain
-    wide = lfunction.LEvaluator(CHI4, window=lfunction.Window(t_max=100.0))
-    val, _ = wide.L(0.5 + 80j)
-    assert np.isfinite(val.real)
 
 
 def test_xi_functional_equation_magnitudes():
@@ -188,20 +205,20 @@ def test_xi_functional_equation_magnitudes():
         ev_bar = lfunction.LEvaluator(chi.conjugate())
         for _ in range(20):
             s = complex(rng.uniform(-0.8, 1.8), rng.uniform(-30, 30))
-            x1 = ev.xi(s)
+            x1 = ev.xi_values(s)
             assert abs(x1) == pytest.approx(
-                abs(ev_bar.xi(1 - s)), rel=1e-8
+                abs(ev_bar.xi_values(1 - s)), rel=1e-8
             )
             assert abs(x1) == pytest.approx(
-                abs(ev.xi(1 - s.conjugate())), rel=1e-8
+                abs(ev.xi_values(1 - s.conjugate())), rel=1e-8
             )
 
 
 def test_xi_rejects_imprimitive():
     with pytest.raises(DomainError):
-        lfunction.xi_value(dirichlet.character(8, 7), 0.5)  # conductor 4
+        lfunction.LEvaluator(dirichlet.character(8, 7)).xi_values(0.5)  # conductor 4
     with pytest.raises(DomainError):
-        lfunction.xi_value(dirichlet.principal_character(3), 0.5)
+        lfunction.LEvaluator(dirichlet.principal_character(3)).xi_values(0.5)
 
 
 def test_von_mangoldt_series_values():

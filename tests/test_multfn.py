@@ -137,7 +137,7 @@ def test_truncated_F_matches_l_value():
     chi = dirichlet.character(5, 4)
     f = multfn.CharacterFunction(chi)
     val, tail = multfn.truncated_F(f, 2.0, 10**5)
-    ref, bound = lfunction.l_value(chi, 2.0)
+    ref, bound = lfunction.LEvaluator(chi).values(2.0)
     assert abs(val - ref) <= tail + bound
     assert abs(val - ref) < 1e-9
 

@@ -9,7 +9,6 @@ import pytest
 from charzero import contour, dirichlet, harness, zeros
 from charzero.errors import (
     ContourError,
-    CountMismatchError,
     CoverageError,
     DomainError,
     WindowError,
@@ -311,7 +310,21 @@ def test_off_line_box_never_calls_hardy_z(monkeypatch):
     monkeypatch.setattr(zeros, "hardy_z", fail)
     for chi in (CHI4, dirichlet.character(51, 2)):
         assert zeros.locate_zeros(chi, zeros.Rectangle(0.75, 1.0, -2.0, 2.0)) == []
-    # a box whose edge is the line holds its zeros only after the count
-    # perturbs outward; grid+Newton scans the box itself and comes up short
-    with pytest.raises(CountMismatchError):
-        zeros.locate_zeros(CHI4, zeros.Rectangle(0, 0.5, 0, 20))
+
+
+def test_edge_on_line_box_matches_straddling_box():
+    # a box whose edge is the line holds the zeros on that edge, because its
+    # count perturbs the contour outward off them; it reports exactly the
+    # zeros of the box that straddles the line
+    for q, conrey in ((4, 3), (5, 2), (23, 9), (51, 2)):
+        chi = dirichlet.character(q, conrey)
+        ref = zeros.locate_zeros(chi, zeros.Rectangle(0, 1, 0, 20))
+        assert ref and all(r.method == "critical-line" for r in ref)
+        for half in (zeros.Rectangle(0, 0.5, 0, 20), zeros.Rectangle(0.5, 1, 0, 20)):
+            assert zeros.locate_zeros(chi, half) == ref, (q, conrey, half)
+
+
+def test_locate_zeros_rejects_bad_spacing():
+    for spacing in (0.0, -0.05, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="spacing"):
+            zeros.locate_zeros(CHI4, zeros.Rectangle(0, 1, 0, 20), spacing=spacing)
