@@ -2,6 +2,10 @@
 quadratic-nonresidue census, product/power large-sum searches, and the
 disk-count experiment, with JSON/CSV emission.
 
+The corollary audit works one modulus at a time: each of its rectangles is
+counted for all characters mod q together (`zeros.count_zeros_family`), so
+one L kernel pass per contour point serves the whole family.
+
 Every report echoes the full constants configuration and the package
 version; two runs with identical configuration are byte-identical (no
 timestamps, stable key order).
@@ -108,59 +112,71 @@ def _max_window_count(gammas, half_width: float, t_lo: float, t_hi: float) -> in
     return best
 
 
-def _audit_one(chi: dirichlet.Character, config: ScenarioConfig) -> AuditRow:
+def _audit_modulus(q: int, chars: list, config: ScenarioConfig) -> list:
+    """The audit rows of the characters `chars` mod q, from one family count
+    per rectangle."""
     c = config.constants
-    q = chi.q
     logq = math.log(q)
     budget = int(config.eps**2 * logq / _SELECTORS[config.selector])
     x = q**config.eps
-    s_abs = abs(dirichlet.partial_sum(chi, x).value)
+    vacuous = x < 2.0
     if config.selector == "fixed-window":
-        count = zeros.count_zeros(chi, zeros.Rectangle(0.75, 1.0, -0.25, 0.25))
+        counts = zeros.count_zeros_family(chars, zeros.Rectangle(0.75, 1.0, -0.25, 0.25))
         bound = c.sum_bound_C * x / math.log(x) ** 0.01 if x > 1 else x
         hyp_ok = config.eps > logq ** (-1.0 / 3.0)
     else:
         span = config.T + 0.25
         rect = zeros.Rectangle(0.75, 1.0, -span, span)
-        found = zeros.locate_zeros(chi, rect)
-        count = _max_window_count(
-            [z.gamma for z in found], 0.25, -config.T, config.T
-        )
+        counts = []
+        for chi, n in zip(chars, zeros.count_zeros_family(chars, rect)):
+            # a zero count certifies the box empty: there is nothing to locate
+            found = zeros.locate_zeros(chi, rect) if n else []
+            counts.append(
+                _max_window_count([z.gamma for z in found], 0.25, -config.T, config.T)
+            )
         bound = c.sum_bound_C * x / config.T
         hyp_ok = (
             1.0 <= config.T <= logq ** (1.0 / 200.0)
             and config.eps > logq ** (-1.0 / 3.0)
         )
-    vacuous = x < 2.0
-    budget_ok = count <= budget
-    concl = None
-    if hyp_ok and budget_ok and not vacuous:
-        concl = s_abs <= bound
     # near-1 rectangle of the large-sum corollary, clipped to the
     # zero-bearing strip and the evaluator window
     sigma_lo = 1.0 - c.abs_c / (config.eps**8 * logq)
     height = min(c.abs_c / config.eps, 45.0)
-    near_rect = zeros.Rectangle(max(1e-3, sigma_lo), 1.0, -height, height)
-    near = sigma_lo < 1.0 and zeros.count_zeros(chi, near_rect) > 0
-    return AuditRow(
-        q=q,
-        conrey=chi.conrey,
-        eps=config.eps,
-        x=x,
-        budget=budget,
-        zero_count=count,
-        s_abs=s_abs,
-        predicted_bound=bound,
-        ratio=s_abs / bound if bound > 0 else math.inf,
-        budget_ok=budget_ok,
-        hypothesis_ok=hyp_ok,
-        conclusion_ok=concl,
-        vacuous=vacuous,
-        near_one_sigma=sigma_lo,
-        near_one_height=height,
-        near_one_has_zero=near,
-        large_sum_hypothesis=s_abs >= config.eps * x,
-    )
+    if sigma_lo < 1.0:
+        near_rect = zeros.Rectangle(max(1e-3, sigma_lo), 1.0, -height, height)
+        near = [n > 0 for n in zeros.count_zeros_family(chars, near_rect)]
+    else:
+        near = [False] * len(chars)
+    rows = []
+    for chi, count, near_has_zero in zip(chars, counts, near):
+        s_abs = abs(dirichlet.partial_sum(chi, x).value)
+        budget_ok = count <= budget
+        concl = None
+        if hyp_ok and budget_ok and not vacuous:
+            concl = s_abs <= bound
+        rows.append(
+            AuditRow(
+                q=q,
+                conrey=chi.conrey,
+                eps=config.eps,
+                x=x,
+                budget=budget,
+                zero_count=count,
+                s_abs=s_abs,
+                predicted_bound=bound,
+                ratio=s_abs / bound if bound > 0 else math.inf,
+                budget_ok=budget_ok,
+                hypothesis_ok=hyp_ok,
+                conclusion_ok=concl,
+                vacuous=vacuous,
+                near_one_sigma=sigma_lo,
+                near_one_height=height,
+                near_one_has_zero=near_has_zero,
+                large_sum_hypothesis=s_abs >= config.eps * x,
+            )
+        )
+    return rows
 
 
 def corollary_zero_budget_audit(config: ScenarioConfig) -> AuditReport:
@@ -168,20 +184,24 @@ def corollary_zero_budget_audit(config: ScenarioConfig) -> AuditReport:
     the eps^2 log q budget, |S(q^eps, chi)| versus the predicted bound, and
     the near-1 rectangle report.
 
-    Counts come from the argument principle (`zeros.count_zeros`):
-    fixed-window counts zeros in Re >= 3/4, |Im| <= 1/4, and
-    near_one_has_zero is a nonzero count on the near-1 rectangle.  Only
-    twisted-window, which takes the worst window |Im - phi| <= 1/4 over
-    |phi| <= T, needs ordinates and locates its zeros.  Rows come in
+    Counts come from the argument principle, one family count per modulus
+    and rectangle (`zeros.count_zeros_family`): fixed-window counts zeros in
+    Re >= 3/4, |Im| <= 1/4, and near_one_has_zero is a nonzero count on the
+    near-1 rectangle.  Only twisted-window, which takes the worst window
+    |Im - phi| <= 1/4 over |phi| <= T, needs ordinates, and it locates the
+    zeros only of characters whose count is nonzero.  Rows come in
     (q, conrey) order: moduli ascend and each modulus lists its characters
     by Conrey label.
     """
-    rows = [
-        _audit_one(chi, config)
-        for q in range(config.q_min, config.q_max + 1)
-        for chi in dirichlet.enumerate_characters(q, primitive_only=True)
-        if not (config.quadratic_only and chi.order != 2)
-    ]
+    rows = []
+    for q in range(config.q_min, config.q_max + 1):
+        chars = [
+            chi
+            for chi in dirichlet.enumerate_characters(q, primitive_only=True)
+            if not (config.quadratic_only and chi.order != 2)
+        ]
+        if chars:
+            rows += _audit_modulus(q, chars, config)
     return AuditReport(
         selector=config.selector,
         eps=config.eps,

@@ -5,11 +5,15 @@ evaluated by Euler-Maclaurin and a certified remainder bound.  The completed
 function xi multiplies in the (q/pi)^((s+a)/2) Gamma((s+a)/2) factor and is
 the object used for argument-principle work.
 
-One evaluator, LEvaluator(chi), does all of it and has no options: `values`
-gives L with its bounds, `xi_values` gives xi, and `grid` gives L on a
-sigma x t mesh.  The kernel always runs Bernoulli terms through B_20 past the
-shift N = _shift_n(largest |t|), and every point is checked against the one
-fixed window WINDOW: -1 <= sigma <= 3, |t| <= 50.
+One Euler-Maclaurin kernel, _em_sum, gives a row of zeta(s, a/q) per unit a
+mod q.  Those rows depend on q and s but not on chi, so family_values and
+family_xi evaluate every character of one modulus from one kernel pass, and
+contract the rows with each character's values.  The evaluator for one
+character, LEvaluator(chi), is the one-character case and has no options:
+`values` gives L with its bounds, `xi_values` gives xi, and `grid` gives L
+on a sigma x t mesh.  The kernel always runs Bernoulli terms through B_20
+past the shift N = _shift_n(largest |t|), and every point is checked
+against the one fixed window WINDOW: -1 <= sigma <= 3, |t| <= 50.
 """
 from __future__ import annotations
 
@@ -77,27 +81,22 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# The Euler-Maclaurin kernel.  For a 1-D array of points s, shifts
-# 0 < x <= 1 and weights w_x it sums
-#     sum_x w_x (zeta(s, x) - 1/(s - 1))
-#   = sum_x w_x sum_{n<N} (n + x)^-s                     (main sum)
-#   + sum_x w_x [((N + x)^(1-s) - 1)/(s - 1) + (N + x)^-s / 2
-#                + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-s-2j)]   (tails)
-# The main sums over all shifts are one Dirichlet polynomial of N len(x)
-# terms; the tails are (points x shifts) arrays contracted against the
-# weights.  Every temporary is cut to at most _CHUNK entries.  Sums run along
-# each point's own row, never across points, so a point's value does not
-# depend on the batch it came in.
+# The Euler-Maclaurin kernel.  For a 1-D array of points s and shifts
+# 0 < x <= 1 it gives one row per shift,
+#     zeta(s, x) - 1/(s - 1)
+#   = sum_{n<N} (n + x)^-s                                 (main sum)
+#   + ((N + x)^(1-s) - 1)/(s - 1) + (N + x)^-s / 2
+#   + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-s-2j)         (tail)
+# as a (points x shifts) array.  The main sum is laid out shift-major, so each
+# (point, shift) sum over n is one contiguous reduction.  Every temporary is
+# cut to at most _CHUNK entries.  Sums run along one point's own entries,
+# never across points, so a point's value does not depend on the batch it
+# came in.
 
 
-def _dirichlet_terms(xs: np.ndarray, weights: np.ndarray, N: int):
-    """(log(n + x), w_x) over n < N and every shift: the main sum's terms."""
-    logs = np.log(np.arange(N)[:, None] + xs[None, :]).ravel()
-    return logs, np.tile(weights, N)
-
-
-def _em_tail(s: np.ndarray, xs: np.ndarray, weights: np.ndarray, N: int, B: int):
-    """The tails past the first N terms, and the summed remainder bound.
+def _em_tail(s: np.ndarray, xs: np.ndarray, N: int, B: int):
+    """The (points x shifts) tails past the first N terms, and each point's
+    remainder bound summed over the shifts.
 
     Valid whenever Re s + B + 1 > 0.
     """
@@ -112,11 +111,13 @@ def _em_tail(s: np.ndarray, xs: np.ndarray, weights: np.ndarray, N: int, B: int)
         [_BERN_OVER_FACT[2 * j] * w ** (1.0 - 2 * j) for j in range(1, B // 2 + 1)]
     )
     rem = w ** -(B + 1.0)
-    total = np.empty(s.shape, dtype=np.complex128)
+    rows = np.empty((len(s), len(xs)), dtype=np.complex128)
     bound = np.empty(s.shape)
-    rows = max(1, _CHUNK // len(xs))
-    for lo in range(0, len(s), rows):
-        sc = s[lo : lo + rows]
+    step = max(1, _CHUNK // len(xs))
+    for lo in range(0, len(s), step):
+        sc = s[lo : lo + step]
+        # ((N + x)^(1-s) - 1)/(s - 1), continued through s = 1
+        rows[lo : lo + step] = -lw * _phi1(np.multiply.outer(1.0 - sc, lw))
         ws = np.exp(-np.multiply.outer(sc, lw))
         # 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-2j), per point and shift
         series = np.full(ws.shape, 0.5, dtype=np.complex128)
@@ -124,32 +125,35 @@ def _em_tail(s: np.ndarray, xs: np.ndarray, weights: np.ndarray, N: int, B: int)
         for j, row in enumerate(bern, start=1):
             series += np.multiply.outer(poch, row)
             poch = poch * (sc + (2 * j - 1)) * (sc + 2 * j)
-        # ((N + x)^(1-s) - 1)/(s - 1), continued through s = 1
-        pole_reg = -lw * _phi1(np.multiply.outer(1.0 - sc, lw))
-        total[lo : lo + rows] = np.sum((pole_reg + ws * series) * weights, axis=1)
+        rows[lo : lo + step] += ws * series
         # poch is now (s)_{B+1}; the remainder is
         # |B_{B+2}/(B+2)!| |(s)_{B+2}| (N + x)^-(sigma+B+1) / (sigma+B+1)
-        bound[lo : lo + rows] = (
+        bound[lo : lo + step] = (
             abs(_BERN_OVER_FACT[B + 2])
             * np.abs(poch * (sc + B + 1))
             * np.sum(np.abs(ws) * rem, axis=1)
-            / denom[lo : lo + rows]
+            / denom[lo : lo + step]
         )
-    return total, bound
+    return rows, bound
 
 
-def _em_sum(s: np.ndarray, xs: np.ndarray, weights: np.ndarray, N: int, B: int):
-    """(sum_x w_x (zeta(s, x) - 1/(s-1)), remainder bound) for a 1-D array s."""
-    total, bound = _em_tail(s, xs, weights, N, B)
-    logs, coef = _dirichlet_terms(xs, weights, N)
-    step = min(len(logs), _CHUNK)
-    for t0 in range(0, len(logs), step):
-        lc, cc = logs[t0 : t0 + step], coef[t0 : t0 + step]
-        rows = max(1, _CHUNK // len(lc))
-        for lo in range(0, len(s), rows):
-            terms = np.exp(-np.multiply.outer(s[lo : lo + rows], lc))
-            total[lo : lo + rows] += np.sum(terms * cc, axis=1)
-    return total, bound
+def _em_sum(s: np.ndarray, xs: np.ndarray, N: int, B: int):
+    """((points x shifts) array of zeta(s, x) - 1/(s-1), remainder bound per
+    point) for a 1-D array s.  The bound holds for every row contracted
+    against weights of modulus at most 1."""
+    rows, bound = _em_tail(s, xs, N, B)
+    # -log(n + x), shift-major: shift u's terms are entries u N .. u N + N - 1
+    neg_logs = -np.log(np.arange(N)[None, :] + xs[:, None]).ravel()
+    width = min(len(xs), max(1, _CHUNK // N))
+    step = max(1, _CHUNK // (width * N))
+    for u0 in range(0, len(xs), width):
+        lc = neg_logs[u0 * N : (u0 + width) * N]
+        for lo in range(0, len(s), step):
+            terms = np.exp(np.multiply.outer(s[lo : lo + step], lc))
+            rows[lo : lo + step, u0 : u0 + width] += terms.reshape(
+                len(terms), -1, N
+            ).sum(axis=-1)
+    return rows, bound
 
 
 def hurwitz_zeta(s: complex, a: float):
@@ -158,11 +162,11 @@ def hurwitz_zeta(s: complex, a: float):
         raise DomainError("hurwitz_zeta needs a shift in (0, 1]")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1")
-    val, bound = _em_sum(
-        np.array([s], dtype=np.complex128), np.array([float(a)]), np.ones(1),
+    rows, bound = _em_sum(
+        np.array([s], dtype=np.complex128), np.array([float(a)]),
         _shift_n(complex(s).imag), _BERNOULLI,
     )
-    return complex(val[0]) + 1.0 / (complex(s) - 1.0), float(bound[0])
+    return complex(rows[0, 0]) + 1.0 / (complex(s) - 1.0), float(bound[0])
 
 
 @dataclass(frozen=True)
@@ -196,18 +200,105 @@ class Window:
 WINDOW = Window()
 
 
+def _character_table(chars) -> tuple[np.ndarray, np.ndarray]:
+    """(shifts a/q over the units a mod q, (k x units) table of chi(a)) for
+    characters of one modulus q."""
+    if not chars:
+        raise DomainError("a character family needs at least one character")
+    q = chars[0].q
+    if any(chi.q != q for chi in chars):
+        raise DomainError("a character family shares one modulus")
+    if q == 1:
+        return np.ones(1), np.ones((len(chars), 1), dtype=np.complex128)
+    units, _, _, _ = dirichlet._basis_tables(q)
+    return units / q, np.array([dirichlet.value_table(chi)[units] for chi in chars])
+
+
+def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray):
+    """((k x points) L values, bound per point) at a window-checked 1-D s.
+
+    The kernel rows are built once for all k characters, a block of points
+    at a time, and each character's row is contracted with its table row by
+    a per-point sum in a fixed order: a value does not depend on which other
+    characters or points share the call.
+    """
+    principal = np.array([chi.is_principal for chi in chars])
+    if principal.any() and np.any(s == 1.0):
+        raise PoleError("principal character: L has a pole at s = 1")
+    q = chars[0].q
+    N = _shift_n(float(np.max(np.abs(s.imag))) if s.size else 0.0)
+    vals = np.empty((len(chars), len(s)), dtype=np.complex128)
+    bounds = np.empty(len(s))
+    step = max(1, _CHUNK // len(xs))
+    for lo in range(0, len(s), step):
+        rows, bounds[lo : lo + step] = _em_sum(s[lo : lo + step], xs, N, _BERNOULLI)
+        for j, weights in enumerate(table):
+            vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
+    if principal.any():
+        vals[principal] += sieve.euler_phi(q) / (s - 1.0)
+    if q > 1:
+        # row by row and never in place: numpy's in-place complex product
+        # rounds differently for long and short arrays
+        qfac = np.exp(-s * math.log(q))
+        for j in range(len(chars)):
+            vals[j] = qfac * vals[j]
+        bounds *= np.abs(qfac)
+    return vals, bounds
+
+
+def family_values(chars, s):
+    """((k x points) L values, error bound per point) for k characters of
+    one modulus at a 1-D array of points.
+
+    One kernel pass serves every character.  The bound holds for each row,
+    since |chi(a)| <= 1.  Row j equals LEvaluator(chars[j]).values(s), bit
+    for bit.
+    """
+    chars = list(chars)
+    s = np.asarray(s, dtype=np.complex128).ravel()
+    WINDOW.validate(s)
+    xs, table = _character_table(chars)
+    return _contract(chars, xs, table, s)
+
+
+def _require_xi(chars) -> None:
+    if not all(chi.is_primitive and not chi.is_principal for chi in chars):
+        raise DomainError("xi is defined for primitive nonprincipal characters")
+
+
+def _complete(chars, s: np.ndarray, lvals: np.ndarray) -> np.ndarray:
+    """xi = (q/pi)^((s+a)/2) Gamma((s+a)/2) L, written over lvals row by row."""
+    q = chars[0].q
+    # at trivial zeros the Gamma pole meets an L zero; the NaN that inf * 0
+    # produces is caught by the contour code, so keep it quiet
+    with np.errstate(invalid="ignore", over="ignore"):
+        pref = {}
+        for j, chi in enumerate(chars):
+            a = chi.parity
+            if a not in pref:
+                z = 0.5 * (s + a)
+                pref[a] = np.exp(z * math.log(q / math.pi) + log_gamma(z))
+            lvals[j] = pref[a] * lvals[j]
+    return lvals
+
+
+def family_xi(chars, s) -> np.ndarray:
+    """(k x points) xi values of k primitive nonprincipal characters of one
+    modulus; row j equals LEvaluator(chars[j]).xi_values(s), bit for bit."""
+    chars = list(chars)
+    _require_xi(chars)
+    s = np.asarray(s, dtype=np.complex128).ravel()
+    lvals, _ = family_values(chars, s)
+    return _complete(chars, s, lvals)
+
+
 class LEvaluator:
-    """Window-checked evaluator for one character's L and xi values."""
+    """Window-checked evaluator for one character's L and xi values: the
+    one-character case of family_values and family_xi."""
 
     def __init__(self, chi: dirichlet.Character):
         self.chi = chi
-        if chi.q == 1:
-            self._units = np.array([1.0])
-            self._weights = np.array([1.0 + 0j])
-        else:
-            units, _, _, _ = dirichlet._basis_tables(chi.q)
-            self._units = units.astype(np.float64)
-            self._weights = dirichlet.value_table(chi)[units]
+        self._xs, self._table = _character_table([chi])
 
     # -- scalar / vector values ------------------------------------------
 
@@ -217,19 +308,10 @@ class LEvaluator:
         s = np.asarray(s_array, dtype=np.complex128).ravel()
         if check_window:
             WINDOW.validate(s)
-        if self.chi.is_principal and np.any(s == 1.0):
-            raise PoleError("principal character: L has a pole at s = 1")
-        q = self.chi.q
-        N = _shift_n(float(np.max(np.abs(s.imag))) if s.size else 0.0)
-        vals, bounds = _em_sum(s, self._units / q, self._weights, N, _BERNOULLI)
-        if self.chi.is_principal:
-            vals += sieve.euler_phi(q) / (s - 1.0)
-        qfac = np.exp(-s * math.log(q)) if q > 1 else 1.0
-        out = qfac * vals
-        out_bounds = np.abs(qfac) * bounds if q > 1 else bounds
-        if np.isscalar(s_array) or np.asarray(s_array).ndim == 0:
-            return complex(out[0]), float(out_bounds[0])
-        return out, out_bounds
+        vals, bounds = _contract([self.chi], self._xs, self._table, s)
+        if np.ndim(s_array) == 0:
+            return complex(vals[0, 0]), float(bounds[0])
+        return vals[0], bounds
 
     def grid(self, sigmas: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """L on the rectangle grid sigmas x ts, exploiting separability.
@@ -245,12 +327,18 @@ class LEvaluator:
         WINDOW.validate(complex(sig.max(), tm))
         q = self.chi.q
         N = _shift_n(tm)
-        xs = self._units / q
+        xs, weights = self._xs, self._table[0]
         s_grid = sig[:, None] + 1j * ts[None, :]
-        tail, _ = _em_tail(s_grid.ravel(), xs, self._weights, N, _BERNOULLI)
-        acc = tail.reshape(s_grid.shape)
+        cells = s_grid.ravel()
+        acc = np.empty(cells.shape, dtype=np.complex128)
+        step = max(1, _CHUNK // len(xs))
+        for lo in range(0, len(cells), step):
+            tail, _ = _em_tail(cells[lo : lo + step], xs, N, _BERNOULLI)
+            acc[lo : lo + step] = np.sum(tail * weights, axis=1)
+        acc = acc.reshape(s_grid.shape)
         # main sum: n^-s = n^-sigma n^-it, one matrix product per term chunk
-        logs, coef = _dirichlet_terms(xs, self._weights, N)
+        logs = np.log(np.arange(N)[:, None] + xs[None, :]).ravel()
+        coef = np.tile(weights, N)
         step = max(1, _CHUNK // max(len(sig), len(ts)))
         for t0 in range(0, len(logs), step):
             lc = logs[t0 : t0 + step]
@@ -264,20 +352,11 @@ class LEvaluator:
 
     def xi_values(self, s_array):
         """xi(s) = (q/pi)^((s+a)/2) Gamma((s+a)/2) L(s, chi); primitive only."""
-        if not self.chi.is_primitive or self.chi.is_principal:
-            raise DomainError("xi is defined for primitive nonprincipal characters")
-        s = np.asarray(s_array, dtype=np.complex128)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s)
+        _require_xi([self.chi])
+        s = np.atleast_1d(np.asarray(s_array, dtype=np.complex128)).ravel()
         lvals, _ = self.values(s)
-        apar = self.chi.parity
-        z = 0.5 * (s + apar)
-        # at trivial zeros the Gamma pole meets an L zero; the NaN that
-        # inf * 0 produces is caught by the contour code, so keep it quiet
-        with np.errstate(invalid="ignore", over="ignore"):
-            pref = np.exp(z * math.log(self.chi.q / math.pi) + log_gamma(z))
-            out = pref * np.atleast_1d(lvals)
-        return complex(out[0]) if scalar else out
+        out = _complete([self.chi], s, lvals[None])[0]
+        return complex(out[0]) if np.ndim(s_array) == 0 else out
 
 
 # ---------------------------------------------------------------------------

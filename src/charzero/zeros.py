@@ -2,8 +2,10 @@
 
 Counting uses the completed xi along rectangle boundaries (no Gamma poles or
 trivial zeros interfere inside the strip); a box symmetric about Re s = 1/2
-is counted from its right half through the functional equation.  Locating
-has two routes, picked by the box:
+is counted from its right half through the functional equation.  The
+characters of one modulus are counted together, from one xi evaluation per
+contour point (count_zeros_family); count_zeros is its one-character case.
+Locating has two routes, picked by the box:
 - "critical-line": on a box that meets Re s = 1/2, the sign changes of the
   real Hardy function Z(t) are counted at the scan spacing.  When they number
   the winding count, every zero is simple and on the line, and each is
@@ -28,7 +30,7 @@ from .errors import (
     CoverageError,
     DomainError,
 )
-from .lfunction import WINDOW, LEvaluator, _density_tail
+from .lfunction import WINDOW, LEvaluator, _density_tail, family_xi
 
 _PERTURB = 1.37e-4
 _NEWTON_H = 1e-6
@@ -102,34 +104,64 @@ def _require_primitive(chi: dirichlet.Character) -> None:
 
 
 def count_zeros(chi: dirichlet.Character, rect: Rectangle) -> int:
-    """Winding number of xi around the rectangle; auto-perturbs the contour
-    outward up to 5 times if it runs into a zero.
+    """Winding number of xi around the rectangle: count_zeros_family for chi
+    alone."""
+    return count_zeros_family([chi], rect)[0]
+
+
+def count_zeros_family(chars, rect: Rectangle) -> list:
+    """Winding numbers of xi around the rectangle for primitive nonprincipal
+    characters of one modulus, in the order given.
+
+    Each contour point is evaluated once for all of them (lfunction.family_xi)
+    and refined wherever any of them needs it.  A character whose contour is
+    unusable (xi not finite or within 1e-280 of zero on it, tracking that
+    does not settle, or a count that drifted off an integer) is counted again
+    alone with the others on a contour perturbed outward, up to 5 times;
+    then ContourError names it.
 
     A box symmetric about Re s = 1/2 is counted from its right half alone:
     xi(s) = eps conj(xi(1 - conj(s))) gives the left half the same argument
     change, so the winding number is the change along
     1/2 + it1 -> sigma2 + it1 -> sigma2 + it2 -> 1/2 + it2 divided by pi.
     """
-    _require_primitive(chi)
+    chars = list(chars)
+    for chi in chars:
+        _require_primitive(chi)
     WINDOW.validate(rect.corners())
-    ev = LEvaluator(chi)
     symmetric = rect.sigma1 + rect.sigma2 == 1.0
-    err = None
+    counts = [None] * len(chars)
+    todo, why = list(range(len(chars))), {}
     for attempt in range(6):
+        if not todo:
+            break
         r = rect.expand(attempt * _PERTURB)
-        try:
-            if not symmetric:
-                return contour.winding_number(ev.xi_values, r.corners())
-            half = (
+        if symmetric:
+            path = [
                 complex(0.5, r.t1),
                 complex(r.sigma2, r.t1),
                 complex(r.sigma2, r.t2),
                 complex(0.5, r.t2),
-            )
-            return contour.whole_turns(contour.arg_change(ev.xi_values, half) / math.pi)
-        except ContourError as exc:
-            err = exc
-    raise ContourError(f"contour unusable after 5 perturbations: {err}")
+            ]
+        else:
+            path = list(r.corners()) + [r.corners()[0]]
+        group = [chars[i] for i in todo]
+        turns = contour.arg_change(lambda s: family_xi(group, s), path)
+        retry = []
+        for i, x in zip(todo, turns / (math.pi if symmetric else 2.0 * math.pi)):
+            try:
+                counts[i] = contour.whole_turns(x)
+            except ContourError as exc:
+                why[i] = exc
+                retry.append(i)
+        todo = retry
+    if todo:
+        chi = chars[todo[0]]
+        raise ContourError(
+            f"contour unusable after 5 perturbations "
+            f"(q={chi.q}, conrey={chi.conrey}): {why[todo[0]]}"
+        )
+    return counts
 
 
 def hardy_z(chi: dirichlet.Character, t):

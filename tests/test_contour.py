@@ -44,3 +44,43 @@ def test_open_path_arg_change():
     path = [1 + 0j, 1 + 1j, -1 + 1j, -1 + 0j]
     assert arg_change(lambda z: z, path) == pytest.approx(np.pi, abs=1e-12)
     assert arg_change(lambda z: z, path[::-1]) == pytest.approx(-np.pi, abs=1e-12)
+
+
+def test_rows_tracked_together():
+    # three functions on one set of points: per-row totals, each as alone
+    fs = [lambda z: z, lambda z: z**3, lambda z: (z - 5) * np.exp(z)]
+    stacked = lambda z: np.array([f(z) for f in fs])
+    assert winding_number(stacked, SQUARE) == [1, 3, 0]
+    path = [1 + 0j, 1 + 1j, -1 + 1j, -1 + 0j]
+    both = arg_change(stacked, path)
+    assert both.shape == (3,)
+    for f, total in zip(fs, both):
+        assert total == pytest.approx(arg_change(f, path), abs=1e-12)
+
+
+def test_failed_row_is_nan_and_others_count():
+    # row 1 has a zero on the contour and row 2 a pole: neither settles
+    def stacked(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.array([z, z - 1, 1 / (z - 1)])
+
+    turns = arg_change(stacked, SQUARE + [SQUARE[0]])
+    assert turns[0] == pytest.approx(2 * np.pi, abs=1e-12)
+    assert np.isnan(turns[1]) and np.isnan(turns[2])
+    with pytest.raises(ContourError):
+        winding_number(stacked, SQUARE)
+
+
+def test_refinement_evaluates_each_point_once():
+    seen = []
+
+    def f(z):
+        seen.extend(z.tolist())
+        return z**8
+
+    # eight turns on a mesh of 8 points per edge: refinement must add points
+    assert winding_number(f, SQUARE, points_per_unit=2.0) == 8
+    edges = len(SQUARE)
+    assert len(seen) > 8 * edges
+    # the corners are shared by consecutive edges; nothing else repeats
+    assert len(seen) - len(set(seen)) == edges

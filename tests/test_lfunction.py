@@ -54,8 +54,8 @@ def test_hurwitz_errors():
 
 def _em_hurwitz(s, a, N, B):
     """(zeta(s, a) - 1/(s - 1), bound) from the kernel at shift N, depth B."""
-    val, bound = lfunction._em_sum(np.array([s]), np.array([a]), np.ones(1), N, B)
-    return complex(val[0]), float(bound[0])
+    rows, bound = lfunction._em_sum(np.array([s]), np.array([a]), N, B)
+    return complex(rows[0, 0]), float(bound[0])
 
 
 def test_error_bound_honesty():
@@ -151,19 +151,64 @@ def test_grid_matches_pointwise():
 
 
 def test_values_batch_spanning_chunks_matches_pointwise():
-    chi = dirichlet.character(101, 2)
-    ev = lfunction.LEvaluator(chi)
     rng = np.random.default_rng(20261018)
     s = rng.uniform(-1, 3, 400) + 1j * rng.uniform(-20, 20, 400)
-    # every point shares N = 50: 5000 terms and 100 shifts per point
-    terms, shifts = 50 * len(ev._units), len(ev._units)
-    assert len(s) > 2 * (lfunction._CHUNK // terms)
-    assert len(s) > lfunction._CHUNK // shifts
-    vals, bounds = ev.values(s)
-    for pt, val, bnd in zip(s, vals, bounds):
-        ref, ref_b = ev.values(complex(pt))
-        assert abs(val - ref) <= 1e-12 * max(1, abs(ref))
-        assert bnd == pytest.approx(ref_b, rel=1e-12)
+    for q, conrey in ((101, 2), (5, 2), (23, 5)):
+        chi = dirichlet.character(q, conrey)
+        ev = lfunction.LEvaluator(chi)
+        if q == 101:
+            # every point shares N = 50: 5000 terms and 100 shifts per point
+            terms, shifts = 50 * (q - 1), q - 1
+            assert len(s) > 2 * (lfunction._CHUNK // terms)
+            assert len(s) > lfunction._CHUNK // shifts
+        vals, bounds = ev.values(s)
+        for pt, val, bnd in zip(s, vals, bounds):
+            assert ev.values(complex(pt)) == (val, bnd)
+        # the same values from a family call over every character mod q
+        family = dirichlet.enumerate_characters(q)
+        fam_vals, fam_bounds = lfunction.family_values(family, s)
+        assert fam_vals.shape == (len(family), len(s))
+        row = [c.conrey for c in family].index(conrey)
+        assert np.array_equal(fam_vals[row], vals)
+        assert np.array_equal(fam_bounds, bounds)
+
+
+def test_family_xi_matches_evaluator():
+    rng = np.random.default_rng(20261019)
+    s = rng.uniform(-0.9, 1.9, 200) + 1j * rng.uniform(-30, 30, 200)
+    for q in (5, 12, 43):
+        family = dirichlet.enumerate_characters(q, primitive_only=True)
+        xi = lfunction.family_xi(family, s)
+        for chi, row in zip(family, xi):
+            assert np.array_equal(row, lfunction.LEvaluator(chi).xi_values(s))
+    with pytest.raises(DomainError):
+        lfunction.family_xi(dirichlet.enumerate_characters(8), s)  # imprimitive
+    with pytest.raises(DomainError):
+        lfunction.family_values([CHI4, LEG5], s)  # two moduli
+    with pytest.raises(WindowError):
+        lfunction.family_values([CHI4], np.array([4.0 + 0j]))
+
+
+def test_family_memory_stays_chunked():
+    # 209 characters mod 211 at 500 points: besides its outputs and the
+    # character table, a family evaluation holds at most 8 temporaries of
+    # _CHUNK entries at a time (it needs about 6); one (points x units)
+    # array, 3.2 such chunks here, would not fit
+    tracemalloc = pytest.importorskip("tracemalloc")
+    family = dirichlet.enumerate_characters(211, primitive_only=True)
+    assert len(family) == 209
+    s = 0.5 + 1j * np.linspace(-20.0, 20.0, 500)
+    lfunction.family_xi(family, s[:2])  # fill the value-table caches
+    out_bytes = 16 * len(family) * len(s) + 8 * len(s)
+    table_bytes = 16 * len(family) * 210
+    for fn in (lfunction.family_values, lfunction.family_xi):
+        tracemalloc.start()
+        try:
+            fn(family, s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out_bytes + table_bytes + 8 * 16 * lfunction._CHUNK, (fn, peak)
 
 
 def test_values_match_mpmath_dirichlet():

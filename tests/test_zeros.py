@@ -243,19 +243,20 @@ def _closed_count(chi, rect):
 def test_half_count_matches_closed_winding():
     rect = zeros.Rectangle(0, 1, 0, 20)
     for q in range(3, 31):
-        for chi in dirichlet.enumerate_characters(q, primitive_only=True):
-            assert zeros.count_zeros(chi, rect) == _closed_count(chi, rect), (q, chi.conrey)
+        family = dirichlet.enumerate_characters(q, primitive_only=True)
+        for chi, n in zip(family, zeros.count_zeros_family(family, rect)):
+            assert n == zeros.count_zeros(chi, rect) == _closed_count(chi, rect), (q, chi.conrey)
 
 
 def test_symmetric_count_stays_right_of_line(monkeypatch):
     seen = []
-    xi_values = zeros.LEvaluator.xi_values
+    family_xi = zeros.family_xi
 
-    def recording(self, s):
+    def recording(chars, s):
         seen.append(np.min(np.real(s)))
-        return xi_values(self, s)
+        return family_xi(chars, s)
 
-    monkeypatch.setattr(zeros.LEvaluator, "xi_values", recording)
+    monkeypatch.setattr(zeros, "family_xi", recording)
     # 5.4 is even, so a closed contour through s = 0 would have to perturb
     for chi in (CHI4, dirichlet.character(5, 4), dirichlet.character(23, 9)):
         for rect in (zeros.Rectangle(0, 1, 0, 20), zeros.Rectangle(0.25, 0.75, -3, 12)):
@@ -328,3 +329,56 @@ def test_locate_zeros_rejects_bad_spacing():
     for spacing in (0.0, -0.05, math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match="spacing"):
             zeros.locate_zeros(CHI4, zeros.Rectangle(0, 1, 0, 20), spacing=spacing)
+
+
+def _audit_rectangles(q):
+    """The fixed-window and near-1 rectangles of the corollary audit at
+    eps = 0.9 (harness._audit_modulus)."""
+    eps = 0.9
+    sigma_lo = 1.0 - 1.0 / (eps**8 * math.log(q))
+    height = 1.0 / eps
+    return (
+        zeros.Rectangle(0.75, 1.0, -0.25, 0.25),
+        zeros.Rectangle(max(1e-3, sigma_lo), 1.0, -height, height),
+    )
+
+
+def test_family_count_matches_per_character():
+    for q in [*range(3, 21), 51, 52, 101]:
+        family = dirichlet.enumerate_characters(q, primitive_only=True)
+        for rect in _audit_rectangles(q):
+            counts = zeros.count_zeros_family(family, rect)
+            assert counts == [zeros.count_zeros(chi, rect) for chi in family], (q, rect)
+    assert zeros.count_zeros_family([], rect) == []
+
+
+def test_family_count_perturbs_only_failed_rows(monkeypatch):
+    # the closed contour of this box meets s = 0, where the even character
+    # 5.4 has its trivial zero; the odd 5.2 and 5.3 count on the first try
+    groups = []
+    family_xi = zeros.family_xi
+
+    def recording(chars, s):
+        groups.append(tuple(chi.conrey for chi in chars))
+        return family_xi(chars, s)
+
+    monkeypatch.setattr(zeros, "family_xi", recording)
+    family = dirichlet.enumerate_characters(5, primitive_only=True)
+    rect = zeros.Rectangle(0, 0.9, 0, 5)
+    counts = zeros.count_zeros_family(family, rect)
+    assert counts == [_closed_count(chi, rect) for chi in family]
+    assert groups[0] == (2, 3, 4) and set(groups) == {(2, 3, 4), (4,)}
+
+
+def test_family_count_names_unusable_character(monkeypatch):
+    family = dirichlet.enumerate_characters(7, primitive_only=True)
+    family_xi = zeros.family_xi
+
+    def broken(chars, s):
+        out = family_xi(chars, s)
+        out[[chi.conrey == 3 for chi in chars]] = np.nan
+        return out
+
+    monkeypatch.setattr(zeros, "family_xi", broken)
+    with pytest.raises(ContourError, match=r"q=7, conrey=3"):
+        zeros.count_zeros_family(family, zeros.Rectangle(0.75, 1.0, -0.25, 0.25))
