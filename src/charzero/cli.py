@@ -330,7 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--conrey", type=int, required=True)
     p.add_argument("--rect", required=True, help="sigma1,sigma2,t1,t2")
-    p.add_argument("--spacing", type=float, default=0.05)
+    p.add_argument(
+        "--spacing", type=float, default=0.05,
+        help="starting step of the line scan; halved on a count mismatch",
+    )
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("audit-disk", help="disk zero-count audit")

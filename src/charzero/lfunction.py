@@ -10,10 +10,10 @@ mod q.  Those rows depend on q and s but not on chi, so family_values and
 family_xi evaluate every character of one modulus from one kernel pass, and
 contract the rows with each character's values.  The evaluator for one
 character, LEvaluator(chi), is the one-character case and has no options:
-`values` gives L with its bounds, `xi_values` gives xi, and `grid` gives L
-on a sigma x t mesh.  The kernel always runs Bernoulli terms through B_20
-past the shift N = _shift_n(largest |t|), and every point is checked
-against the one fixed window WINDOW: -1 <= sigma <= 3, |t| <= 50.
+`values` gives L with its bounds and `xi_values` gives xi.  The kernel always
+runs Bernoulli terms through B_20 past the shift N = _shift_n(largest |t|),
+and every point is checked against the one fixed window WINDOW:
+-1 <= sigma <= 3, |t| <= 50.
 """
 from __future__ import annotations
 
@@ -87,11 +87,12 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 #   = sum_{n<N} (n + x)^-s                                 (main sum)
 #   + ((N + x)^(1-s) - 1)/(s - 1) + (N + x)^-s / 2
 #   + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-s-2j)         (tail)
-# as a (points x shifts) array.  The main sum is laid out shift-major, so each
-# (point, shift) sum over n is one contiguous reduction.  Every temporary is
-# cut to at most _CHUNK entries.  Sums run along one point's own entries,
-# never across points, so a point's value does not depend on the batch it
-# came in.
+# as a (points x shifts) array.  _em_tail forms the last two lines and
+# _em_sum, the kernel's one entry point, adds the main sum to them.  The main
+# sum is laid out shift-major, so each (point, shift) sum over n is one
+# contiguous reduction.  Every temporary is cut to at most _CHUNK entries.
+# Sums run along one point's own entries, never across points, so a point's
+# value does not depend on the batch it came in.
 
 
 def _em_tail(s: np.ndarray, xs: np.ndarray, N: int, B: int):
@@ -176,11 +177,6 @@ class Window:
     t_max: float = 50.0
     sigma_min: float = -1.0
     sigma_max: float = 3.0
-
-    def contains(self, s: complex) -> bool:
-        return (
-            self.sigma_min <= s.real <= self.sigma_max and abs(s.imag) <= self.t_max
-        )
 
     def validate(self, s) -> None:
         """Raise WindowError naming the first point of s (a scalar or an
@@ -302,51 +298,15 @@ class LEvaluator:
 
     # -- scalar / vector values ------------------------------------------
 
-    def values(self, s_array, check_window: bool = True):
+    def values(self, s_array):
         """(L values, error bounds) for an array of points, or
         (complex, float) for a scalar point."""
         s = np.asarray(s_array, dtype=np.complex128).ravel()
-        if check_window:
-            WINDOW.validate(s)
+        WINDOW.validate(s)
         vals, bounds = _contract([self.chi], self._xs, self._table, s)
         if np.ndim(s_array) == 0:
             return complex(vals[0, 0]), float(bounds[0])
         return vals[0], bounds
-
-    def grid(self, sigmas: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """L on the rectangle grid sigmas x ts, exploiting separability.
-
-        Returns a (len(sigmas), len(ts)) matrix.  Nonprincipal characters only.
-        """
-        if self.chi.is_principal:
-            raise DomainError("grid evaluation expects a nonprincipal character")
-        sig = np.asarray(sigmas, dtype=np.float64)
-        ts = np.asarray(ts, dtype=np.float64)
-        tm = float(np.max(np.abs(ts))) if ts.size else 0.0
-        WINDOW.validate(complex(sig.min(), tm))
-        WINDOW.validate(complex(sig.max(), tm))
-        q = self.chi.q
-        N = _shift_n(tm)
-        xs, weights = self._xs, self._table[0]
-        s_grid = sig[:, None] + 1j * ts[None, :]
-        cells = s_grid.ravel()
-        acc = np.empty(cells.shape, dtype=np.complex128)
-        step = max(1, _CHUNK // len(xs))
-        for lo in range(0, len(cells), step):
-            tail, _ = _em_tail(cells[lo : lo + step], xs, N, _BERNOULLI)
-            acc[lo : lo + step] = np.sum(tail * weights, axis=1)
-        acc = acc.reshape(s_grid.shape)
-        # main sum: n^-s = n^-sigma n^-it, one matrix product per term chunk
-        logs = np.log(np.arange(N)[:, None] + xs[None, :]).ravel()
-        coef = np.tile(weights, N)
-        step = max(1, _CHUNK // max(len(sig), len(ts)))
-        for t0 in range(0, len(logs), step):
-            lc = logs[t0 : t0 + step]
-            P = np.exp(-np.multiply.outer(sig, lc)) * coef[t0 : t0 + step]
-            Q = np.exp(-1j * np.multiply.outer(ts, lc))
-            acc += P @ Q.T
-        qfac = np.exp(-s_grid * math.log(q))
-        return qfac * acc
 
     # -- completed function ----------------------------------------------
 

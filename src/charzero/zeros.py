@@ -5,15 +5,13 @@ trivial zeros interfere inside the strip); a box symmetric about Re s = 1/2
 is counted from its right half through the functional equation.  The
 characters of one modulus are counted together, from one xi evaluation per
 contour point (count_zeros_family); count_zeros is its one-character case.
-Locating has two routes, picked by the box:
-- "critical-line": on a box that meets Re s = 1/2, the sign changes of the
-  real Hardy function Z(t) are counted at the scan spacing.  When they number
-  the winding count, every zero is simple and on the line, and each is
-  refined on the line by a bracketing root finder (beta = 1/2 exactly).
-- "grid+newton": otherwise |L| is scanned on a grid and the local minima are
-  polished with Newton on numerically differentiated L.
-Either way the located zeros must number the winding count exactly.  Every
-box must lie in the evaluator's fixed window, lfunction.WINDOW.
+Locating has one route, "critical-line": on a box that meets Re s = 1/2,
+the sign changes of the real Hardy function Z(t) are counted at the scan
+spacing, halved up to _HALVINGS times until they number the winding count.
+Then every zero is simple and on the line, and each is refined on the line by
+a bracketing root finder (beta = 1/2 exactly).  A count the line cannot
+account for is a CountMismatchError, never a second search.  Every box must
+lie in the evaluator's fixed window, lfunction.WINDOW.
 """
 from __future__ import annotations
 
@@ -33,8 +31,11 @@ from .errors import (
 from .lfunction import WINDOW, LEvaluator, _density_tail, family_xi
 
 _PERTURB = 1.37e-4
-_NEWTON_H = 1e-6
-_RESIDUAL_TARGET = 1e-10
+# a line scan whose sign changes miss the winding count is repeated at half
+# the spacing, at most this many times, down to 1/64 of the step asked for.
+# From step 1.0, every primitive chi with q <= 50 on [0, 20] matches within
+# 2 halvings; a mismatch that survives 6 costs at most 127 first scans
+_HALVINGS = 6
 # the critical-line root finder: bracket width at which a root is settled,
 # and the step cap past which it raises
 _GAMMA_TOL = 1e-13
@@ -212,110 +213,13 @@ def _refine_on_line(chi, a, b, za, zb):
     )
 
 
-def _newton_polish(ev: LEvaluator, seeds, rect: Rectangle) -> list:
-    """Newton on all seeds together; entry i is (z, |L(z)|) for seed i, or None.
-
-    Each iteration makes one L call on z, z + h and z - h of every seed still
-    running.  A seed stops
-    - with its point once |L| <= 1e-12;
-    - with None when it leaves the box or the window, or when its difference
-      quotient is zero or not finite;
-    - after a step below 1e-14 or after 50 iterations, keeping its point only
-      if the final |L| is at most _RESIDUAL_TARGET.
-    """
-    h = _NEWTON_H
-    box = rect.expand(0.3)
-    z = np.array(seeds, dtype=np.complex128)
-    out = [None] * len(z)
-    live = np.arange(len(z))
-    settled = []
-    for _ in range(50):
-        live = np.array(
-            [i for i in live if box.contains(z[i]) and WINDOW.contains(z[i])],
-            dtype=int,
-        )
-        if not live.size:
-            break
-        zl = z[live]
-        vals, _ = ev.values(np.concatenate([zl, zl + h, zl - h]), check_window=False)
-        v, vp, vm = np.split(vals, 3)
-        hit = np.abs(v) <= 1e-12
-        for i, r in zip(live[hit], np.abs(v[hit])):
-            out[i] = (complex(z[i]), float(r))
-        dv = (vp - vm) / (2.0 * h)
-        go = ~hit & (dv != 0) & np.isfinite(dv)
-        step = v[go] / dv[go]
-        live = live[go]
-        z[live] -= step
-        small = np.abs(step) < 1e-14
-        settled.extend(live[small])
-        live = live[~small]
-    settled.extend(live)
-    if settled:
-        vals, _ = ev.values(z[settled], check_window=False)
-        for i, r in zip(settled, np.abs(vals)):
-            if r <= _RESIDUAL_TARGET:
-                out[i] = (complex(z[i]), float(r))
-    return out
-
-
-def _scan_candidates(ev: LEvaluator, rect: Rectangle, spacing: float):
-    sig = np.arange(rect.sigma1, rect.sigma2 + spacing * 0.5, spacing)
-    ts = np.arange(rect.t1, rect.t2 + spacing * 0.5, spacing)
-    A = np.abs(ev.grid(sig, ts))
-    padded = np.full((A.shape[0] + 2, A.shape[1] + 2), np.inf)
-    padded[1:-1, 1:-1] = A
-    local_min = np.ones_like(A, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            local_min &= A <= padded[1 + di : 1 + di + A.shape[0], 1 + dj : 1 + dj + A.shape[1]]
-    local_min &= A < 1.0
-    ii, jj = np.nonzero(local_min)
-    return [complex(sig[i], ts[j]) for i, j in zip(ii, jj)]
-
-
-def _locate_at_spacing(chi, ev, rect, spacing):
-    found = []
-    for hit in _newton_polish(ev, _scan_candidates(ev, rect, spacing), rect):
-        if hit is None:
-            continue
-        z, resid = hit
-        if not rect.contains(z):
-            continue
-        # keep to the open strip: the trivial zero at s = 0 (even chi) and any
-        # stray convergence to Re s near 0 or 1 are not nontrivial-strip zeros
-        if not (1e-4 < z.real < 1.0 - 1e-4):
-            continue
-        found.append((z, resid))
-    found.sort(key=lambda pair: (pair[0].imag, pair[0].real))
-    dedup = []
-    for z, resid in found:
-        if dedup and abs(z - dedup[-1][0]) < 1e-6:
-            if resid < dedup[-1][1]:
-                dedup[-1] = (z, resid)
-            continue
-        dedup.append((z, resid))
-    return [
-        ZeroRecord(
-            q=chi.q,
-            conrey=chi.conrey,
-            beta=float(z.real),
-            gamma=float(z.imag),
-            residual=float(resid),
-            method="grid+newton",
-        )
-        for z, resid in dedup
-    ]
-
-
 def _locate_on_line(chi, rect: Rectangle, spacing: float, target: int):
-    """Zeros on the box's piece of Re s = 1/2, or None unless Z has exactly
-    `target` sign changes there at step `spacing`.
+    """(sign changes of Z on the box's piece of Re s = 1/2 at step `spacing`,
+    the zeros there or None unless those changes number `target`).
 
     Each sign change is a zero on the line, so when they number the winding
-    count every zero in the box is simple and on the line.
+    count every zero in the box is simple and on the line.  A scan point
+    where Z is exactly 0 makes the scan a miss.
     """
     n = max(1, math.ceil((rect.t2 - rect.t1) / spacing))
     ts = np.linspace(rect.t1, rect.t2, n + 1)
@@ -323,10 +227,10 @@ def _locate_on_line(chi, rect: Rectangle, spacing: float, target: int):
     sign = np.sign(z)
     lo = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
     if len(lo) != target or not sign.all():
-        return None
+        return len(lo), None
     gammas = _refine_on_line(chi, ts[lo], ts[lo + 1], z[lo], z[lo + 1])
     lvals, _ = LEvaluator(chi).values(0.5 + 1j * gammas)
-    return [
+    return len(lo), [
         ZeroRecord(
             q=chi.q,
             conrey=chi.conrey,
@@ -342,39 +246,39 @@ def _locate_on_line(chi, rect: Rectangle, spacing: float, target: int):
 def locate_zeros(
     chi: dirichlet.Character, rect: Rectangle, spacing: float = 0.05
 ) -> list:
-    """All zeros in the rectangle, cross-checked against the winding count.
+    """All zeros in the rectangle, each on the critical line, cross-checked
+    against the winding count.
 
     `spacing` must be finite and positive.  A winding count of 0 certifies an
     empty box, so it returns [] without a scan.  A box with
-    sigma1 <= 1/2 <= sigma2 first scans the real Hardy Z at `spacing` along
-    its piece of the line; if the sign changes number the winding count,
-    every zero is refined on the line (beta = 1/2 exactly, method
-    "critical-line").  A box with an edge on the line takes this route too,
-    since its count, perturbed outward off the zeros on that edge, holds
-    them.  Otherwise, and on every other box, |L| is scanned on a grid and
-    polished by Newton (method "grid+newton"); on a count mismatch that scan
-    is retried once at spacing 0.01, then the mismatch is an error: an
-    incomplete search must never pass silently.
+    sigma1 <= 1/2 <= sigma2 scans the real Hardy Z at `spacing` along its
+    piece of the line; while the sign changes miss the winding count, the
+    spacing is halved and the line scanned again, at most _HALVINGS times.
+    Once they match, every zero is refined on the line (beta = 1/2 exactly,
+    method "critical-line").  A box with an edge on the line takes this
+    route too, since its count, perturbed outward off the zeros on that
+    edge, holds them.  A count the line cannot account for (a multiple zero,
+    a zero off the line, or a box that misses the line with a nonzero
+    count) raises CountMismatchError: a zero is never dropped silently.
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise DomainError(f"spacing must be finite and positive, got {spacing}")
     target = count_zeros(chi, rect)
     if target == 0:
         return []
-    if rect.sigma1 <= 0.5 <= rect.sigma2:
-        records = _locate_on_line(chi, rect, spacing, target)
+    where = f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
+    if not rect.sigma1 <= 0.5 <= rect.sigma2:
+        raise CountMismatchError(
+            f"winding count is {target} in a box off the critical line {where}"
+        )
+    for k in range(_HALVINGS + 1):
+        found, records = _locate_on_line(chi, rect, spacing / 2**k, target)
         if records is not None:
             return records
-    ev = LEvaluator(chi)
-    records = _locate_at_spacing(chi, ev, rect, spacing)
-    if len(records) != target and spacing > 0.01:
-        records = _locate_at_spacing(chi, ev, rect, 0.01)
-    if len(records) != target:
-        raise CountMismatchError(
-            f"located {len(records)} zeros but winding count is {target} "
-            f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
-        )
-    return records
+    raise CountMismatchError(
+        f"Z changes sign {found} times at spacing {spacing / 2**_HALVINGS!r} "
+        f"but winding count is {target} {where}"
+    )
 
 
 # ---------------------------------------------------------------------------

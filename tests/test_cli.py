@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from charzero import cli
+from charzero import cli, zeros
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -245,6 +245,16 @@ def test_zeros_bad_spacing_exits_2(capsys):
         assert code == 2, spacing
         assert out == ""
         assert err.startswith("error: spacing") and err.count("\n") == 1, err
+
+
+def test_zeros_count_mismatch_exits_2(capsys, monkeypatch):
+    # a nonzero count in a box off the critical line cannot be located
+    monkeypatch.setattr(zeros, "count_zeros", lambda chi, rect: 1)
+    argv = ["zeros", "--q", "4", "--conrey", "3", "--rect", "0.75,1,-0.25,0.25"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: winding count is 1") and err.count("\n") == 1, err
 
 
 def test_product_search_cli(capsys):

@@ -132,24 +132,6 @@ def test_l_conjugation_symmetry():
         assert b == pytest.approx(a.conjugate(), abs=1e-11 * max(1, abs(a)))
 
 
-def test_grid_matches_pointwise():
-    sigmas = np.array([-0.5, 0.5, 1.0, 2.5])
-    cases = [
-        (4, 3, np.array([-10.0, 0.0, 3.25, 40.0])),
-        (23, 5, np.linspace(-10.0, 40.0, 12)),
-        # 4 x 90 cells times 100 shifts, and 8000 terms against 90 ordinates,
-        # each pass more than one of the kernel's chunks
-        (101, 2, np.linspace(-10.0, 40.0, 90)),
-    ]
-    for q, conrey, ts in cases:
-        ev = lfunction.LEvaluator(dirichlet.character(q, conrey))
-        grid = ev.grid(sigmas, ts)
-        for i, sg in enumerate(sigmas):
-            for j, t in enumerate(ts):
-                ref, _ = ev.values(complex(sg, t))
-                assert grid[i, j] == pytest.approx(ref, abs=1e-10 * max(1, abs(ref)))
-
-
 def test_values_batch_spanning_chunks_matches_pointwise():
     rng = np.random.default_rng(20261018)
     s = rng.uniform(-1, 3, 400) + 1j * rng.uniform(-20, 20, 400)
@@ -232,8 +214,6 @@ def test_window_enforced():
         ev.values(4.0 + 0j)
     with pytest.raises(WindowError):
         ev.values(0.5 + 51j)
-    with pytest.raises(WindowError):
-        ev.grid(np.array([0.5]), np.array([80.0]))
     # a batch names its first point outside the window; NaN is outside
     batch = np.array([0.5 + 1j, 0.5 + 60j, complex(math.nan, 0.0), 4.0 + 0j])
     with pytest.raises(WindowError, match=r"point \(0\.5\+60j\)"):

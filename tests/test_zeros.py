@@ -9,6 +9,7 @@ import pytest
 from charzero import contour, dirichlet, harness, zeros
 from charzero.errors import (
     ContourError,
+    CountMismatchError,
     CoverageError,
     DomainError,
     WindowError,
@@ -184,47 +185,19 @@ def test_disk_audit_window_guard():
         zeros.disk_count_audit(CHI4, 10.0, 360.0)
 
 
-def test_newton_batch_matches_single_seeds():
-    ev = zeros.LEvaluator(CHI4)
-    rect = zeros.Rectangle(0, 1, 0, 20)
-    seeds = zeros._scan_candidates(ev, rect, 0.05)
-    batch = zeros._newton_polish(ev, seeds, rect)
-    assert sum(hit is not None for hit in batch) == len(CHI4_HEIGHTS)
-    for seed, hit in zip(seeds, batch):
-        (alone,) = zeros._newton_polish(ev, [seed], rect)
-        assert (hit is None) == (alone is None)
-        if hit is not None:
-            assert abs(hit[0] - alone[0]) <= 1e-12
-            assert hit[1] <= 1e-10
-
-
-def test_newton_seed_leaving_box_is_dropped_alone():
-    ev = zeros.LEvaluator(CHI4)
-    rect = zeros.Rectangle(0, 1, 0, 20)
-    seeds = zeros._scan_candidates(ev, rect, 0.05)
-    # Newton heads for the trivial zero at s = -1, outside the box
-    stray = complex(-0.25, 0.0)
-    assert zeros._newton_polish(ev, [stray], rect) == [None]
-    base = zeros._newton_polish(ev, seeds, rect)
-    mixed = zeros._newton_polish(ev, seeds[:2] + [stray] + seeds[2:], rect)
-    assert mixed[2] is None
-    for want, got in zip(base, mixed[:2] + mixed[3:]):
-        assert (want is None) == (got is None)
-        if want is not None:
-            assert abs(want[0] - got[0]) <= 1e-12
-
-
 def test_locate_zeros_empty_box_skips_scan(monkeypatch):
-    # a winding count of 0 certifies the box empty: no grid scan, no Newton
+    # a winding count of 0 certifies the box empty: no line scan
     def fail(*args, **kwargs):
         raise AssertionError("scanned an empty box")
 
-    monkeypatch.setattr(zeros.LEvaluator, "grid", fail)
-    monkeypatch.setattr(zeros, "_newton_polish", fail)
-    rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
+    monkeypatch.setattr(zeros, "hardy_z", fail)
     for chi in (CHI4, dirichlet.character(51, 2)):
-        assert zeros.count_zeros(chi, rect) == 0
-        assert zeros.locate_zeros(chi, rect) == []
+        for rect in (
+            zeros.Rectangle(0.75, 1.0, -0.25, 0.25),
+            zeros.Rectangle(0.0, 1.0, -0.25, 0.25),
+        ):
+            assert zeros.count_zeros(chi, rect) == 0
+            assert zeros.locate_zeros(chi, rect) == []
 
 
 def _closed_count(chi, rect):
@@ -272,17 +245,30 @@ def test_hardy_z_real_on_scan_points():
             assert np.all(np.abs(z.imag) <= 1e-9 * np.abs(z)), (q, chi.conrey)
 
 
-def test_critical_line_matches_grid_newton():
+def test_critical_line_matches_mpmath_findroot():
+    mpmath = pytest.importorskip("mpmath")
     rect = zeros.Rectangle(0, 1, 0, 20)
     for q, conrey in ((4, 3), (5, 2), (23, 9), (24, 5)):
         chi = dirichlet.character(q, conrey)
+        table = [mpmath.mpc(v.real, v.imag) for v in dirichlet.value_table(chi)]
         recs = zeros.locate_zeros(chi, rect)
-        ref = zeros._locate_at_spacing(chi, zeros.LEvaluator(chi), rect, 0.05)
-        assert len(recs) == len(ref) == zeros.count_zeros(chi, rect)
-        for r, g in zip(recs, ref):
-            assert r.method == "critical-line" and r.beta == 0.5
-            assert abs(r.gamma - g.gamma) <= 1e-12
-            assert r.residual <= 1e-10
+        assert len(recs) == zeros.count_zeros(chi, rect)
+        refs = []
+        with mpmath.workdps(30):
+            for r in recs:
+                assert r.method == "critical-line" and r.beta == 0.5
+                assert r.residual <= 1e-10
+                g = mpmath.mpf(r.gamma)
+                root = mpmath.findroot(
+                    lambda t: mpmath.dirichlet(mpmath.mpf(1) / 2 + 1j * t, table),
+                    (g, g + mpmath.mpf("1e-8")),
+                )
+                assert abs(mpmath.im(root)) <= 1e-12, (q, conrey, r.gamma)
+                refs.append(float(mpmath.re(root)))
+        # every located ordinate sits on its own zero of the reference L
+        assert all(b - a > 1e-3 for a, b in zip(refs, refs[1:])), (q, conrey)
+        for r, g in zip(recs, refs):
+            assert abs(r.gamma - g) <= 1e-12, (q, conrey, r.gamma, g)
 
 
 def test_coarse_line_scan_falls_back(monkeypatch):
@@ -295,13 +281,45 @@ def test_coarse_line_scan_falls_back(monkeypatch):
 
     monkeypatch.setattr(zeros, "hardy_z", counting)
     rect = zeros.Rectangle(0, 1, 0, 20)
-    # five points 5 apart miss most of the five sign changes
+    # five points 5 apart miss most of the five sign changes; nine points
+    # 2.5 apart catch them all
     recs = zeros.locate_zeros(CHI4, rect, spacing=5.0)
-    assert calls == [5]
+    assert calls[:2] == [5, 9]
     assert len(recs) == len(CHI4_HEIGHTS)
-    assert all(r.method == "grid+newton" for r in recs)
+    assert all(r.method == "critical-line" and r.beta == 0.5 for r in recs)
     for r, want in zip(recs, CHI4_HEIGHTS):
         assert r.gamma == pytest.approx(want, abs=1e-6)
+
+
+def test_count_mismatch_on_line_raises_after_last_halving(monkeypatch):
+    scans = []
+    hardy_z, count_zeros = zeros.hardy_z, zeros.count_zeros
+
+    def recording(chi, t):
+        scans.append(np.size(t))
+        return hardy_z(chi, t)
+
+    monkeypatch.setattr(zeros, "hardy_z", recording)
+    # one zero more than the line holds: no halving can account for it
+    monkeypatch.setattr(zeros, "count_zeros", lambda chi, rect: count_zeros(chi, rect) + 1)
+    rect = zeros.Rectangle(0, 1, 0, 11)
+    assert count_zeros(CHI4, rect) == 2
+    want = r"2 times .* winding count is 3 \(q=4, conrey=3"
+    with pytest.raises(CountMismatchError, match=want):
+        zeros.locate_zeros(CHI4, rect, spacing=0.5)
+    # the scans at spacing 0.5, 0.25, ..., 0.5 / 2^_HALVINGS and nothing else
+    assert scans == [22 * 2**k + 1 for k in range(zeros._HALVINGS + 1)]
+
+
+def test_off_line_nonzero_count_raises_without_scan(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("scanned the line of a box that does not straddle it")
+
+    monkeypatch.setattr(zeros, "hardy_z", fail)
+    monkeypatch.setattr(zeros, "count_zeros", lambda chi, rect: 1)
+    rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
+    with pytest.raises(CountMismatchError, match=r"winding count is 1 .*q=4, conrey=3"):
+        zeros.locate_zeros(CHI4, rect)
 
 
 def test_off_line_box_never_calls_hardy_z(monkeypatch):
