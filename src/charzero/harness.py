@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import __version__, dirichlet, multfn, sieve, spectral, zeros
-from .errors import DomainError
+from .errors import CountMismatchError, DomainError
 
 # budget denominators for the two sliding-window corollary selectors
 _SELECTORS = {"fixed-window": 1600.0, "twisted-window": 1440.0}
@@ -96,22 +96,6 @@ class AuditReport:
     constants: dict
 
 
-def _max_window_count(gammas, half_width: float, t_lo: float, t_hi: float) -> int:
-    """Largest number of ordinates in any window [phi-h, phi+h] with the
-    window center constrained to [t_lo, t_hi].  The maximum is attained
-    with a window edge at some ordinate, so it suffices to try centers
-    g -+ h (clamped) plus the two interval ends."""
-    candidates = {t_lo, t_hi}
-    for g in gammas:
-        candidates.add(min(max(g - half_width, t_lo), t_hi))
-        candidates.add(min(max(g + half_width, t_lo), t_hi))
-    best = 0
-    for phi in candidates:
-        lo, hi = phi - half_width, phi + half_width
-        best = max(best, sum(1 for y in gammas if lo <= y <= hi))
-    return best
-
-
 def _audit_modulus(q: int, chars: list, config: ScenarioConfig) -> list:
     """The audit rows of the characters `chars` mod q, from one family count
     per rectangle."""
@@ -127,13 +111,13 @@ def _audit_modulus(q: int, chars: list, config: ScenarioConfig) -> list:
     else:
         span = config.T + 0.25
         rect = zeros.Rectangle(0.75, 1.0, -span, span)
-        counts = []
-        for chi, n in zip(chars, zeros.count_zeros_family(chars, rect)):
-            # a zero count certifies the box empty: there is nothing to locate
-            found = zeros.locate_zeros(chi, rect) if n else []
-            counts.append(
-                _max_window_count([z.gamma for z in found], 0.25, -config.T, config.T)
-            )
+        counts = zeros.count_zeros_family(chars, rect)
+        for chi, n in zip(chars, counts):
+            if n:
+                raise CountMismatchError(
+                    f"winding count is {n} in a box off the critical line "
+                    f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
+                )
         bound = c.sum_bound_C * x / config.T
         hyp_ok = (
             1.0 <= config.T <= logq ** (1.0 / 200.0)
@@ -187,9 +171,11 @@ def corollary_zero_budget_audit(config: ScenarioConfig) -> AuditReport:
     Counts come from the argument principle, one family count per modulus
     and rectangle (`zeros.count_zeros_family`): fixed-window counts zeros in
     Re >= 3/4, |Im| <= 1/4, and near_one_has_zero is a nonzero count on the
-    near-1 rectangle.  Only twisted-window, which takes the worst window
-    |Im - phi| <= 1/4 over |phi| <= T, needs ordinates, and it locates the
-    zeros only of characters whose count is nonzero.  Rows come in
+    near-1 rectangle.  twisted-window, whose windows |Im - phi| <= 1/4 with
+    |phi| <= T all lie in Re >= 3/4, |Im| <= T + 1/4, counts that box: a
+    count of 0 leaves every window empty, and a nonzero count raises
+    CountMismatchError, since its zeros lie off the critical line and
+    cannot be located to find the worst window.  Rows come in
     (q, conrey) order: moduli ascend and each modulus lists its characters
     by Conrey label.
     """

@@ -11,8 +11,10 @@ family_xi evaluate every character of one modulus from one kernel pass, and
 contract the rows with each character's values.  The evaluator for one
 character, LEvaluator(chi), is the one-character case and has no options:
 `values` gives L with its bounds and `xi_values` gives xi.  The kernel always
-runs Bernoulli terms through B_20 past the shift N = _shift_n(largest |t|),
-and every point is checked against the one fixed window WINDOW:
+runs Bernoulli terms through B_20, past a shift N that each point sizes for
+itself (_shift_n) so that its remainder bound per unit a is at most _TARGET;
+a point's value and bound therefore never depend on the batch it came in.
+Every point is checked against the one fixed window WINDOW:
 -1 <= sigma <= 3, |t| <= 50.
 """
 from __future__ import annotations
@@ -59,11 +61,30 @@ _CHUNK = 1 << 15
 # Euler-Maclaurin depth: the tail series runs through B_20
 _BERNOULLI = 20
 
+# remainder bound per unit a that each point's shift N is sized for
+_TARGET = 1e-20
 
-def _shift_n(t_max: float) -> int:
-    """Euler-Maclaurin shift N for points with |Im s| <= t_max; N >= 2 |t_max|
-    keeps the remainder decreasing on the window."""
-    return max(50, int(math.ceil(2.0 * abs(t_max))))
+
+def _shift_n(s) -> np.ndarray:
+    """Euler-Maclaurin shift N for each point of s: the least multiple of 8,
+    at least 8, at which the per-unit remainder bound
+    |B_22/22!| |(s)_22| N^-(sigma+21) / (sigma+21) is at most _TARGET.
+
+    _em_tail bounds each unit past N + x > N, so its bound per unit stays
+    below _TARGET.  The rule reads the point alone.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    d = s.real + _BERNOULLI + 1
+    # (s)_22 vanishes at s = 0 and -1; a point with d <= 0 gets no valid N,
+    # and _em_tail rejects it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_poch = np.log(np.abs(s[..., None] + np.arange(_BERNOULLI + 2))).sum(-1)
+        log_n = (
+            math.log(abs(_BERN_OVER_FACT[_BERNOULLI + 2]) / _TARGET)
+            + log_poch
+            - np.log(d)
+        ) / d
+        return 8 * np.maximum(1, np.ceil(np.exp(log_n) / 8)).astype(np.int64)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -81,80 +102,93 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return out
 
 
-# The Euler-Maclaurin kernel.  For a 1-D array of points s and shifts
-# 0 < x <= 1 it gives one row per shift,
+# The Euler-Maclaurin kernel.  For a 1-D array of points s, a shift N per
+# point and shifts 0 < x <= 1 it gives one row per shift,
 #     zeta(s, x) - 1/(s - 1)
 #   = sum_{n<N} (n + x)^-s                                 (main sum)
 #   + ((N + x)^(1-s) - 1)/(s - 1) + (N + x)^-s / 2
 #   + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-s-2j)         (tail)
 # as a (points x shifts) array.  _em_tail forms the last two lines and
-# _em_sum, the kernel's one entry point, adds the main sum to them.  The main
-# sum is laid out shift-major, so each (point, shift) sum over n is one
-# contiguous reduction.  Every temporary is cut to at most _CHUNK entries.
-# Sums run along one point's own entries, never across points, so a point's
-# value does not depend on the batch it came in.
+# _em_sum, the kernel's one entry point, adds the main sum to them in layers
+# of 8 terms, n = 8k .. 8k + 7; a layer covers only the points whose N
+# reaches it.  Every temporary is cut to at most _CHUNK entries.  Each point
+# adds its layers to its tail in order of k, and sums along its own entries,
+# never across points, so its value does not depend on the batch it came in.
 
 
-def _em_tail(s: np.ndarray, xs: np.ndarray, N: int, B: int):
-    """The (points x shifts) tails past the first N terms, and each point's
-    remainder bound summed over the shifts.
+def _em_tail(s: np.ndarray, xs: np.ndarray, N: np.ndarray, B: int):
+    """The (points x shifts) tails past each point's first N terms, and each
+    point's remainder bound summed over the shifts.
 
-    Valid whenever Re s + B + 1 > 0.
+    N holds one shift per point.  Valid whenever Re s + B + 1 > 0.
     """
     sigma = s.real
     denom = sigma + B + 1
     if np.any(denom <= 0):
         raise DomainError("Re s too far left for this Bernoulli depth")
-    w = N + xs
-    lw = np.log(w)
-    # row j - 1: B_2j/(2j)! (N + x)^(1-2j)
-    bern = np.array(
-        [_BERN_OVER_FACT[2 * j] * w ** (1.0 - 2 * j) for j in range(1, B // 2 + 1)]
-    )
-    rem = w ** -(B + 1.0)
     rows = np.empty((len(s), len(xs)), dtype=np.complex128)
     bound = np.empty(s.shape)
     step = max(1, _CHUNK // len(xs))
     for lo in range(0, len(s), step):
-        sc = s[lo : lo + step]
+        sc, dc = s[lo : lo + step, None], denom[lo : lo + step]
+        lw = np.log(N[lo : lo + step, None] + xs)
+        # sum over the shifts of (N + x)^-(sigma+B+1), for the bound below
+        per_unit = np.sum(np.exp(-dc[:, None] * lw), axis=1)
         # ((N + x)^(1-s) - 1)/(s - 1), continued through s = 1
-        rows[lo : lo + step] = -lw * _phi1(np.multiply.outer(1.0 - sc, lw))
-        ws = np.exp(-np.multiply.outer(sc, lw))
-        # 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-2j), per point and shift
+        rows[lo : lo + step] = -lw * _phi1((1.0 - sc) * lw)
+        ws = np.exp(-sc * lw)
+        # 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-2j)
         series = np.full(ws.shape, 0.5, dtype=np.complex128)
-        poch = sc.copy()
-        for j, row in enumerate(bern, start=1):
-            series += np.multiply.outer(poch, row)
+        pw = 1.0 / (N[lo : lo + step, None] + xs)
+        inv_sq = pw * pw
+        poch = sc
+        for j in range(1, B // 2 + 1):
+            series += (_BERN_OVER_FACT[2 * j] * poch) * pw
+            pw = pw * inv_sq
             poch = poch * (sc + (2 * j - 1)) * (sc + 2 * j)
         rows[lo : lo + step] += ws * series
         # poch is now (s)_{B+1}; the remainder is
         # |B_{B+2}/(B+2)!| |(s)_{B+2}| (N + x)^-(sigma+B+1) / (sigma+B+1)
         bound[lo : lo + step] = (
             abs(_BERN_OVER_FACT[B + 2])
-            * np.abs(poch * (sc + B + 1))
-            * np.sum(np.abs(ws) * rem, axis=1)
-            / denom[lo : lo + step]
+            * np.abs(poch[:, 0] * (sc[:, 0] + B + 1))
+            * per_unit
+            / dc
         )
     return rows, bound
 
 
-def _em_sum(s: np.ndarray, xs: np.ndarray, N: int, B: int):
+def _em_sum(s: np.ndarray, xs: np.ndarray, N, B: int):
     """((points x shifts) array of zeta(s, x) - 1/(s-1), remainder bound per
-    point) for a 1-D array s.  The bound holds for every row contracted
-    against weights of modulus at most 1."""
+    point) for a 1-D array s, past a shift N per point (an array, or one int
+    for every point).  The bound holds for every row contracted against
+    weights of modulus at most 1."""
+    N = np.broadcast_to(np.asarray(N, dtype=np.int64), s.shape)
+    # largest N first: the points a layer reaches lead the order
+    order = np.argsort(-N, kind="stable")
+    s, N = s[order], N[order]
     rows, bound = _em_tail(s, xs, N, B)
-    # -log(n + x), shift-major: shift u's terms are entries u N .. u N + N - 1
-    neg_logs = -np.log(np.arange(N)[None, :] + xs[:, None]).ravel()
-    width = min(len(xs), max(1, _CHUNK // N))
-    step = max(1, _CHUNK // (width * N))
-    for u0 in range(0, len(xs), width):
-        lc = neg_logs[u0 * N : (u0 + width) * N]
-        for lo in range(0, len(s), step):
-            terms = np.exp(np.multiply.outer(s[lo : lo + step], lc))
-            rows[lo : lo + step, u0 : u0 + width] += terms.reshape(
-                len(terms), -1, N
-            ).sum(axis=-1)
-    return rows, bound
+    shifts, neg_n = set(N.tolist()), -N
+    width = min(len(xs), max(1, _CHUNK // 8))
+    step = max(1, _CHUNK // (width * 8))
+    for n0 in range(0, int(N[0]) if len(N) else 0, 8):
+        # the layer n0 .. n0 + 7 ends at n1 = min(N, n0 + 8): one run of
+        # points per layer end, longest first (one run when N is a multiple
+        # of 8)
+        lo = 0
+        for n1 in sorted({min(n, n0 + 8) for n in shifts if n > n0}, reverse=True):
+            hi = int(np.searchsorted(neg_n, -n1, side="right"))
+            for u0 in range(0, len(xs), width):
+                lc = -np.log(np.arange(n0, n1) + xs[u0 : u0 + width, None]).ravel()
+                for p in range(lo, hi, step):
+                    e = min(p + step, hi)
+                    terms = np.exp(np.multiply.outer(s[p:e], lc))
+                    rows[p:e, u0 : u0 + width] += terms.reshape(
+                        e - p, -1, n1 - n0
+                    ).sum(axis=-1)
+            lo = hi
+    back = np.argsort(order)
+    return rows[back], bound[back]
 
 
 def hurwitz_zeta(s: complex, a: float):
@@ -163,10 +197,8 @@ def hurwitz_zeta(s: complex, a: float):
         raise DomainError("hurwitz_zeta needs a shift in (0, 1]")
     if s == 1:
         raise PoleError("hurwitz zeta has its pole at s = 1")
-    rows, bound = _em_sum(
-        np.array([s], dtype=np.complex128), np.array([float(a)]),
-        _shift_n(complex(s).imag), _BERNOULLI,
-    )
+    pts = np.array([s], dtype=np.complex128)
+    rows, bound = _em_sum(pts, np.array([float(a)]), _shift_n(pts), _BERNOULLI)
     return complex(rows[0, 0]) + 1.0 / (complex(s) - 1.0), float(bound[0])
 
 
@@ -222,14 +254,17 @@ def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray):
     if principal.any() and np.any(s == 1.0):
         raise PoleError("principal character: L has a pole at s = 1")
     q = chars[0].q
-    N = _shift_n(float(np.max(np.abs(s.imag))) if s.size else 0.0)
+    N = _shift_n(s)
     vals = np.empty((len(chars), len(s)), dtype=np.complex128)
     bounds = np.empty(len(s))
     step = max(1, _CHUNK // len(xs))
     for lo in range(0, len(s), step):
-        rows, bounds[lo : lo + step] = _em_sum(s[lo : lo + step], xs, N, _BERNOULLI)
+        rows, bounds[lo : lo + step] = _em_sum(
+            s[lo : lo + step], xs, N[lo : lo + step], _BERNOULLI
+        )
         for j, weights in enumerate(table):
             vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
+        del rows  # free this block's rows before the next block's kernel
     if principal.any():
         vals[principal] += sieve.euler_phi(q) / (s - 1.0)
     if q > 1:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from charzero import dirichlet, harness, multfn, spectral, zeros
-from charzero.errors import DomainError
+from charzero.errors import CountMismatchError, DomainError
 
 LEG5 = multfn.parse_function("char:5.4")
 
@@ -28,17 +28,6 @@ def test_scenario_config_validation():
         harness.ScenarioConfig(q_min=3, q_max=5, eps=0.0)
     with pytest.raises(DomainError):
         harness.ScenarioConfig(q_min=3, q_max=5, eps=0.5, selector="nope")
-
-
-def test_max_window_count():
-    f = harness._max_window_count
-    assert f([], 0.25, -1, 1) == 0
-    assert f([0.0, 0.1, 0.2], 0.25, -1, 1) == 3
-    # window straddling two ordinates without being centered on either
-    assert f([0.0, 0.3, 0.6], 0.25, -1, 1) == 2
-    # center clamp keeps far ordinates out of reach
-    assert f([5.0], 0.25, -1, 1) == 0
-    assert f([1.2], 0.25, -1, 1) == 1
 
 
 def test_fixed_window_audit_small_family():
@@ -80,6 +69,21 @@ def test_twisted_window_audit():
     assert all(not r.hypothesis_ok for r in rep2.rows)
 
 
+def test_twisted_window_nonzero_count_raises(monkeypatch):
+    # zeros in Re >= 3/4 lie off the critical line and cannot be located,
+    # so a nonzero count leaves the worst window unknown
+    monkeypatch.setattr(zeros, "count_zeros_family", lambda chars, rect: [1] * len(chars))
+    cfg = harness.ScenarioConfig(
+        q_min=5, q_max=5, eps=0.9, T=1.0, selector="twisted-window"
+    )
+    with pytest.raises(CountMismatchError) as err:
+        harness.corollary_zero_budget_audit(cfg)
+    rect = zeros.Rectangle(0.75, 1.0, -1.25, 1.25)
+    assert str(err.value) == (
+        f"winding count is 1 in a box off the critical line (q=5, conrey=2, rect={rect})"
+    )
+
+
 def test_audit_json_deterministic():
     cfg = harness.ScenarioConfig(q_min=3, q_max=5, eps=0.9)
     a = harness.to_json(harness.corollary_zero_budget_audit(cfg))
@@ -105,16 +109,9 @@ def test_audit_counts_match_located_zeros():
     for cfg in (fixed, twisted):
         for r in harness.corollary_zero_budget_audit(cfg).rows:
             chi = dirichlet.character(r.q, r.conrey)
-            if cfg is fixed:
-                rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
-                assert r.zero_count == len(zeros.locate_zeros(chi, rect))
-            else:
-                span = cfg.T + 0.25
-                rect = zeros.Rectangle(0.75, 1.0, -span, span)
-                gammas = [z.gamma for z in zeros.locate_zeros(chi, rect)]
-                assert r.zero_count == harness._max_window_count(
-                    gammas, 0.25, -cfg.T, cfg.T
-                )
+            span = 0.25 if cfg is fixed else cfg.T + 0.25
+            rect = zeros.Rectangle(0.75, 1.0, -span, span)
+            assert r.zero_count == len(zeros.locate_zeros(chi, rect))
             near_rect = zeros.Rectangle(
                 max(1e-3, r.near_one_sigma), 1.0, -r.near_one_height, r.near_one_height
             )

@@ -72,11 +72,28 @@ def test_error_bound_honesty():
 
 
 def test_one_kernel_configuration_and_window():
-    # one shift rule and one Bernoulli depth serve every entry point
-    assert [lfunction._shift_n(t) for t in (0.0, 25.0, -25.2, 50.0)] == [50, 50, 51, 100]
+    # one shift rule and one Bernoulli depth serve every entry point.  Each
+    # point's N is the least multiple of 8 (at least 8) whose per-unit
+    # remainder bound |B_22/22!| |(s)_22| N^-(sigma+21) / (sigma+21) meets
+    # the target
+    rng = np.random.default_rng(20261101)
+    pts = rng.uniform(-1, 3, 200) + 1j * rng.uniform(-50, 50, 200)
+    pts = np.concatenate([pts, [-1.0, 0.0, 0.5, 3.0, -1 + 50j, 3 - 50j]])
+    c = abs(lfunction._BERN_OVER_FACT[lfunction._BERNOULLI + 2])
+
+    def unit_bound(s, n):
+        d = s.real + lfunction._BERNOULLI + 1
+        poch = math.prod(abs(s + k) for k in range(lfunction._BERNOULLI + 2))
+        return c * poch * n ** -d / d
+
+    shifts = lfunction._shift_n(pts)
+    for s, n in zip(pts, shifts.tolist()):
+        assert n >= 8 and n % 8 == 0
+        assert unit_bound(s, n) <= lfunction._TARGET
+        assert n == 8 or unit_bound(s, n - 8) > lfunction._TARGET
     for s, a in ((2.0 + 0j, 1.0), (0.3 - 31.7j, 0.25), (-0.5 + 44j, 0.9)):
         val, bound = lfunction.hurwitz_zeta(s, a)
-        ref, ref_b = _em_hurwitz(s, a, lfunction._shift_n(s.imag), lfunction._BERNOULLI)
+        ref, ref_b = _em_hurwitz(s, a, lfunction._shift_n(s), lfunction._BERNOULLI)
         assert val == ref + 1.0 / (s - 1.0) and bound == ref_b
     assert list(inspect.signature(lfunction.LEvaluator).parameters) == ["chi"]
     assert list(inspect.signature(lfunction.hurwitz_zeta).parameters) == ["s", "a"]
@@ -155,6 +172,29 @@ def test_values_batch_spanning_chunks_matches_pointwise():
         assert np.array_equal(fam_bounds, bounds)
 
 
+def test_values_independent_of_batch():
+    # a point's value and bound are the same bits alone, beside any other
+    # points of the window, and in a family row; 0.5 + 40j needs a larger
+    # shift than 0.5 + 5j
+    rng = np.random.default_rng(20261102)
+    s = rng.uniform(-1, 3, 60) + 1j * rng.uniform(-50, 50, 60)
+    s = np.concatenate([[0.5 + 5j, 0.5 + 40j], s])
+    for q, conrey in ((7, 3), (23, 5)):
+        chi = dirichlet.character(q, conrey)
+        ev = lfunction.LEvaluator(chi)
+        vals, bounds = ev.values(s)
+        family = dirichlet.enumerate_characters(q)
+        fam_vals, fam_bounds = lfunction.family_values(family, s)
+        row = [c.conrey for c in family].index(conrey)
+        for k, pt in enumerate(s):
+            alone, alone_b = ev.values(complex(pt))
+            assert (vals[k], bounds[k]) == (alone, alone_b), pt
+            assert (fam_vals[row, k], fam_bounds[k]) == (alone, alone_b), pt
+        # every bound stays under phi(q) _TARGET per unit, scaled by |q^-s|
+        cap = (q - 1) * lfunction._TARGET * np.abs(np.exp(-s * math.log(q)))
+        assert np.all(bounds <= cap)
+
+
 def test_family_xi_matches_evaluator():
     rng = np.random.default_rng(20261019)
     s = rng.uniform(-0.9, 1.9, 200) + 1j * rng.uniform(-30, 30, 200)
@@ -206,6 +246,34 @@ def test_values_match_mpmath_dirichlet():
             for pt, val in zip(s, vals):
                 ref = complex(mpmath.dirichlet(mpmath.mpc(pt.real, pt.imag), table))
                 assert abs(val - ref) <= 1e-11 * max(1, abs(ref)), (q, chi.conrey, pt)
+
+
+def test_values_left_half_plane_match_mpmath():
+    # the main sum cancels against the tail at sigma < 0, more for a longer
+    # sum; each tolerance is 1.25 times the worst error measured on this draw.
+    # The reference is L = q^-s sum_a chi(a) zeta(s, a/q) from mpmath's
+    # Hurwitz zeta, which is what mpmath.dirichlet sums, at a few ms a point
+    # where mpmath.dirichlet takes a second
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261103)
+    with mpmath.workdps(30):
+        for q, conrey, tol in ((7, 5, 2.9e-13), (23, 5, 8.5e-12)):
+            chi = dirichlet.character(q, conrey)
+            table = dirichlet.value_table(chi)
+            s = rng.uniform(-1, -0.5, 12) + 1j * rng.uniform(-3, 3, 12)
+            vals, _ = lfunction.LEvaluator(chi).values(s)
+            for pt, val in zip(s, vals):
+                sm = mpmath.mpc(pt.real, pt.imag)
+                ref = complex(
+                    mpmath.power(q, -sm)
+                    * mpmath.fsum(
+                        mpmath.mpc(table[a].real, table[a].imag)
+                        * mpmath.zeta(sm, mpmath.mpf(a) / q)
+                        for a in range(1, q)
+                        if table[a] != 0
+                    )
+                )
+                assert abs(val - ref) <= tol * abs(ref), (q, conrey, pt)
 
 
 def test_window_enforced():
