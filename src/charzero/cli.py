@@ -58,12 +58,14 @@ def _build_constants(args) -> harness.Constants:
     return harness.Constants(**overrides)
 
 
-def _emit(args, payload, rows=None) -> None:
-    """payload: dict for json/text; rows: list of dicts for csv."""
+def _emit(args, payload, rows) -> None:
+    """payload: dict for json/text; rows: list of dicts for csv, where a
+    nested dict (the echoed constants) has no column."""
     if args.out == "json":
         sys.stdout.write(harness.to_json(payload))
     elif args.out == "csv":
-        sys.stdout.write(harness.rows_to_csv(rows if rows is not None else [payload]))
+        flat = [{k: v for k, v in r.items() if not isinstance(v, dict)} for r in rows]
+        sys.stdout.write(harness.rows_to_csv(flat))
     else:
         _emit_text(payload)
 
@@ -78,8 +80,6 @@ def _emit_text(payload, indent: str = "") -> None:
                 sys.stdout.write(f"{indent}{key}[{i}]:\n")
                 _emit_text(item, indent + "  ")
         else:
-            if isinstance(val, complex):
-                val = f"{val.real!r}{val.imag:+}j"
             sys.stdout.write(f"{indent}{key} = {val}\n")
 
 
@@ -150,9 +150,7 @@ def _cmd_halasz(args, constants):
         if args.q is None or args.conrey is None:
             raise DomainError("halasz wants --f or both --q and --conrey")
         f = multfn.CharacterFunction(dirichlet.character(args.q, args.conrey))
-    rep = multfn.halasz_bound(f, args.x)
-    row = {"f": f.label, "x": args.x}
-    row.update(harness.report_dict(rep))
+    row = {"f": f.label, **harness.report_dict(multfn.halasz_bound(f, args.x))}
     return row, [row]
 
 
@@ -222,12 +220,9 @@ def _cmd_constants(args, constants):
         "delta1": c.delta1,
         "integral": c.integral,
         "quad_error": c.quad_error,
-        "constants": harness.report_dict(constants),
+        "constants": constants.to_dict(),
     }
-    flat = dict(row)
-    flat.pop("constants")
-    flat["version"] = __version__
-    return row, [flat]
+    return row, [{**row, "version": __version__}]
 
 
 def _cmd_bound(args, constants):
@@ -246,11 +241,8 @@ def _cmd_bound(args, constants):
 
 
 def _cmd_census(args, constants):
-    rep = harness.nonresidue_census(args.q, args.u, constants)
-    row = harness.report_dict(rep)
-    flat = dict(row)
-    flat.pop("constants")
-    return row, [flat]
+    row = harness.report_dict(harness.nonresidue_census(args.q, args.u, constants))
+    return row, [row]
 
 
 def _cmd_product_search(args, constants):
@@ -263,9 +255,7 @@ def _cmd_product_search(args, constants):
         f2 = parse_function(args.f2)
         rep = harness.product_large_sum_search(f1, f2, args.x1, args.x2, args.eta, constants)
     row = harness.report_dict(rep)
-    flat = dict(row)
-    flat.pop("constants")
-    return row, [flat]
+    return row, [row]
 
 
 def _cmd_audit_corollary(args, constants):

@@ -468,18 +468,26 @@ def disk_count_experiment(
 
 def report_dict(obj):
     """A report as plain data: a dataclass becomes a dict of its fields in
-    declaration order, and nested dataclasses, dicts and lists are walked
-    the same way; anything else is returned as it is.
+    declaration order, and dicts and lists are walked; anything else is
+    returned as it is.  Three rules shape a dataclass's columns:
 
-    A class whose report shape differs from its fields (flattened CSV
-    columns, an added version) defines `to_dict`, which is used instead.
-    `dataclasses.asdict` would ignore it and expand, for instance, the
-    `disk` of a nested DiskAuditReport rather than its flat columns.
+    - a complex field `z` gives the columns `z_re` and `z_im` in its place;
+    - a nested dataclass field gives its own columns in its place;
+    - a field declared `repr=False` is left out.
     """
-    if hasattr(obj, "to_dict"):
-        return obj.to_dict()
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: report_dict(getattr(obj, f.name)) for f in fields(obj)}
+        out = {}
+        for f in fields(obj):
+            if not f.repr:
+                continue
+            v = getattr(obj, f.name)
+            if is_dataclass(v):
+                out.update(report_dict(v))
+            elif isinstance(v, complex):
+                out[f"{f.name}_re"], out[f"{f.name}_im"] = v.real, v.imag
+            else:
+                out[f.name] = report_dict(v)
+        return out
     if isinstance(obj, dict):
         return {k: report_dict(v) for k, v in obj.items()}
     if isinstance(obj, list):

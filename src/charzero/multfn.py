@@ -426,21 +426,12 @@ def find_phi_and_M(f, x) -> HalaszData:
 
 @dataclass(frozen=True)
 class HalaszReport:
+    data: HalaszData
     observed: float
-    main_term: float
-    secondary_term: float
     bound: float
     ratio: float
-    data: HalaszData
-
-    def to_dict(self):
-        return {
-            "phi": self.data.phi,
-            "M": self.data.M,
-            "observed": self.observed,
-            "bound": self.bound,
-            "ratio": self.ratio,
-        }
+    main_term: float
+    secondary_term: float
 
 
 def halasz_bound(f, x) -> HalaszReport:
@@ -482,7 +473,6 @@ def slow_variation_probe(f, x, z) -> SlowVariationReport:
         raise DomainError("need sqrt(x) <= z <= x^2")
     data = find_phi_and_M(f, x)
     phi = data.phi
-    fphi = TwistedFunction(f, phi)
     top = int(math.floor(max(x, z)))
     vals_f = f.values_up_to(top)
     n = np.arange(top + 1, dtype=np.float64)

@@ -181,26 +181,10 @@ class CaseResult:
     lhs: complex
     rhs: complex
     residual: float
-    lhs_tail: float
-    rhs_tail: float
     n_max: int
     xi_max: float
-
-    def to_dict(self):
-        return {
-            "q": self.q,
-            "conrey": self.conrey,
-            "phi": self.phi,
-            "lam": self.lam,
-            "T": self.T,
-            "lhs_re": self.lhs.real,
-            "lhs_im": self.lhs.imag,
-            "rhs_re": self.rhs.real,
-            "rhs_im": self.rhs.imag,
-            "residual": self.residual,
-            "n_max": self.n_max,
-            "xi_max": self.xi_max,
-        }
+    lhs_tail: float
+    rhs_tail: float
 
 
 def _case_result(case: PlancherelCase, lhs: complex, lhs_tail: float, n_max: int) -> CaseResult:

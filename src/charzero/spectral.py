@@ -151,16 +151,6 @@ def _newton_k(z0: complex, k: int):
     return None
 
 
-def _grid_fallback(k: int):
-    re_lo, im_lo, im_hi = _strip_box(k)
-    res = np.linspace(re_lo, 0.0, 80)
-    ims = np.linspace(im_lo, im_hi, 80)
-    zz = res[None, :] + 1j * ims[:, None]
-    vals = np.abs(_k_values(zz.ravel())).reshape(zz.shape)
-    i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    return complex(zz[i, j])
-
-
 def find_h_zeros(count: int) -> list:
     """The first `count` upper-half-plane zeros, one per strip
     Im in (2 pi k - pi, 2 pi k + pi), Newton-refined from the asymptotic seed.
@@ -173,8 +163,6 @@ def find_h_zeros(count: int) -> list:
     for k in range(1, count + 1):
         seed = asymptotic_seed(k)
         z = _newton_k(seed, k)
-        if z is None:
-            z = _newton_k(_grid_fallback(k), k)
         if z is None:
             raise ContourError(f"no zero found in strip {k}")
         re_lo, im_lo, im_hi = _strip_box(k)

@@ -384,27 +384,6 @@ class DiskAuditReport:
     vacuous: bool
     conclusion_ok: bool | None
 
-    def to_dict(self):
-        return {
-            "q": self.q,
-            "conrey": self.conrey,
-            "x": self.x,
-            "L_param": self.L_param,
-            "N": self.N,
-            "phi": self.phi,
-            "center_re": self.disk.center.real,
-            "center_im": self.disk.center.imag,
-            "radius": self.disk.radius,
-            "count": self.count,
-            "threshold_360": self.threshold_360,
-            "threshold_400": self.threshold_400,
-            "x_range_ok": self.x_range_ok,
-            "N_ok": self.N_ok,
-            "L_ok": self.L_ok,
-            "vacuous": self.vacuous,
-            "conclusion_ok": self.conclusion_ok,
-        }
-
 
 def disk_count_audit(
     chi: dirichlet.Character, x: float, L_param: float, abs_c: float = 1.0

@@ -237,7 +237,7 @@ def test_report_dict_walks_dict_values():
     rep = harness.disk_count_experiment(101, 2, 10.0, L_grid=(0.5,))
     d = harness.report_dict({"exp": rep, "rows": [rep.rows[0]]})
     assert d["exp"] == harness.report_dict(rep)
-    assert d["rows"][0] == rep.rows[0].to_dict()
+    assert d["rows"][0] == harness.report_dict(rep.rows[0])
     assert json.loads(harness.to_json({"exp": rep}))["exp"]["rows"][0]["center_re"] == 1.0
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from charzero import dirichlet, multfn, sieve
+from charzero import dirichlet, harness, multfn, sieve
 from charzero.errors import DomainError, SieveLimitError
 
 ONE = multfn.ConstantOne()
@@ -241,8 +241,8 @@ def test_halasz_bound_pinned_values():
         },
     }
     for spec, want in pinned.items():
-        got = multfn.halasz_bound(multfn.parse_function(spec), 2e4).to_dict()
-        assert {k: v.hex() for k, v in got.items()} == want
+        got = harness.report_dict(multfn.halasz_bound(multfn.parse_function(spec), 2e4))
+        assert {k: got[k].hex() for k in want} == want
 
 
 def test_find_phi_rejects_prime_weight_above_one():
@@ -272,8 +272,11 @@ def test_halasz_bound_random_corpus():
 
 def test_halasz_report_dict():
     rep = multfn.halasz_bound(LEG5, 10**4)
-    d = rep.to_dict()
-    assert set(d) == {"phi", "M", "observed", "bound", "ratio"}
+    d = harness.report_dict(rep)
+    assert list(d) == [
+        "x", "phi", "M", "observed", "bound", "ratio", "main_term", "secondary_term"
+    ]
+    assert "grid_trace" not in d
     assert d["ratio"] == rep.ratio
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from charzero import dirichlet, plancherel
+from charzero import dirichlet, harness, plancherel
 from charzero.errors import ConvergenceError, DomainError
 
 CHI4 = dirichlet.character(4, 3)
@@ -87,10 +87,11 @@ def test_conjugate_case_mirrors():
 
 def test_case_result_dict():
     res = plancherel.verify_case(plancherel.PlancherelCase(CHI4, 0.0, 0.1, 1.0))
-    d = res.to_dict()
+    d = harness.report_dict(res)
     assert d["q"] == 4 and d["conrey"] == 3
     assert d["residual"] == res.residual
     assert math.isfinite(d["lhs_re"]) and math.isfinite(d["rhs_im"])
+    assert d["lhs_tail"] == res.lhs_tail and d["rhs_tail"] == res.rhs_tail
 
 
 def test_small_grid_runs():

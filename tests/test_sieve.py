@@ -95,3 +95,15 @@ def test_primitive_root():
 def test_crt_pair():
     n = sieve.crt_pair(2, 3, 3, 5)
     assert n % 3 == 2 and n % 5 == 3
+
+
+@pytest.mark.parametrize(
+    "segment, large",
+    [(16, (10**4,)), (128, (10**4, 65536, 10**5 + 3)), (1024, (10**5 + 3, 999983, 10**6))],
+)
+def test_segmented_sieve_matches_dense(monkeypatch, segment, large):
+    # the segmented branch only runs above 2^25; a short segment makes small
+    # n cross many segment boundaries (it never receives n = 2 or 3)
+    monkeypatch.setattr(sieve, "_SEGMENT", segment)
+    for n in (*range(4, 400), *large):
+        assert np.array_equal(sieve._segmented_sieve(n), sieve._odd_sieve(n)), n

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from charzero import spectral
-from charzero.errors import DomainError
+from charzero.errors import ContourError, DomainError
 
 
 def test_h_at_zero():
@@ -96,6 +96,12 @@ def test_find_zeros_count_validation():
         spectral.find_h_zeros(0)
     with pytest.raises(DomainError):
         spectral.find_h_zeros(201)
+
+
+def test_failed_newton_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "_newton_k", lambda z0, k: None)
+    with pytest.raises(ContourError, match="no zero found in strip 1"):
+        spectral.find_h_zeros(1)
 
 
 def test_delta_constants():

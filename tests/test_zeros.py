@@ -159,7 +159,7 @@ def test_disk_audit_chi4_desk_scale():
     assert rep.vacuous and rep.conclusion_ok is None
     assert rep.threshold_360 == pytest.approx(2.0 / 360.0)
     assert rep.threshold_400 == pytest.approx(2.0 / 400.0)
-    d = rep.to_dict()
+    d = harness.report_dict(rep)
     assert d["radius"] == pytest.approx(2.0 * math.log(4) / math.log(10.0) ** 2)
     assert d["vacuous"] is True
 
@@ -177,7 +177,7 @@ def test_disk_audit_zero_sum_reports_null_N():
     rep = zeros.disk_count_audit(CHI4, 8.0, 1.0)
     assert rep.N is None
     assert not rep.N_ok and not rep.L_ok and rep.vacuous
-    json.dumps(rep.to_dict(), allow_nan=False)
+    json.dumps(harness.report_dict(rep), allow_nan=False)
 
 
 def test_disk_audit_window_guard():
