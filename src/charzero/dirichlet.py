@@ -17,7 +17,7 @@ import numpy as np
 from . import sieve
 from .errors import DomainError
 
-_BLOCK = 1 << 20  # partial sums accumulate in fixed blocks, pairwise inside
+_BLOCK = 1 << 20  # sums over n accumulate in fixed blocks, pairwise inside
 
 
 @dataclass(frozen=True)
@@ -339,42 +339,45 @@ class PartialSum:
     N: float | None
 
 
-def _blocked_sum(chi: Character, m: int, phi: float) -> complex:
+def _blocks(m: int):
+    """1..m as consecutive int64 arrays of at most _BLOCK entries."""
+    for start in range(1, m + 1, _BLOCK):
+        yield np.arange(start, min(start + _BLOCK, m + 1), dtype=np.int64)
+
+
+def _blocked_sum(values_at, m: int) -> complex:
+    """sum of values_at(n) over 1 <= n <= m in a fixed order.
+
+    numpy sums each block pairwise, then the block sums are summed, so memory
+    stays at one block and the result never depends on the caller.
+    """
+    return complex(np.sum(np.array([np.sum(values_at(n)) for n in _blocks(m)])))
+
+
+def _partial_sum(chi: Character, phi: float, x: float) -> PartialSum:
+    if x < 1:
+        raise DomainError("partial sums need x >= 1")
+    sieve.check_limit(x, "partial-sum length")
+    phi = float(phi)
     table = value_table(chi)
-    q = chi.q
-    partials = []
-    start = 1
-    while start <= m:
-        stop = min(start + _BLOCK - 1, m)
-        n = np.arange(start, stop + 1, dtype=np.int64)
-        vals = table[n % q]
-        if phi != 0.0:
-            vals = vals * np.exp(-1j * phi * np.log(n))
-        partials.append(np.sum(vals))  # numpy pairwise within the block
-        start = stop + 1
-    return complex(np.sum(np.array(partials)))
+
+    def values_at(n):
+        vals = table[n % chi.q]
+        return vals * np.exp(-1j * phi * np.log(n)) if phi else vals
+
+    value = _blocked_sum(values_at, int(math.floor(x)))
+    N = x / abs(value) if value != 0 else None
+    return PartialSum(x, value, phi, N)
 
 
 def partial_sum(chi: Character, x: float) -> PartialSum:
     """sum of chi(n) for 1 <= n <= floor(x), deterministic pairwise order."""
-    if x < 1:
-        raise DomainError("partial sums need x >= 1")
-    sieve.check_limit(x, "partial-sum length")
-    m = int(math.floor(x))
-    value = _blocked_sum(chi, m, 0.0)
-    N = x / abs(value) if value != 0 else None
-    return PartialSum(x, value, 0.0, N)
+    return _partial_sum(chi, 0.0, x)
 
 
 def twisted_partial_sum(chi: Character, phi: float, x: float) -> PartialSum:
     """sum of chi(n) n^{-i phi}; phi = 0 reproduces partial_sum bit-for-bit."""
-    if x < 1:
-        raise DomainError("partial sums need x >= 1")
-    sieve.check_limit(x, "partial-sum length")
-    m = int(math.floor(x))
-    value = _blocked_sum(chi, m, float(phi))
-    N = x / abs(value) if value != 0 else None
-    return PartialSum(x, value, float(phi), N)
+    return _partial_sum(chi, phi, x)
 
 
 def gauss_sum(chi: Character) -> complex:

@@ -501,8 +501,6 @@ def to_json(obj) -> str:
 
 
 def _json_default(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
     if isinstance(v, (np.floating, np.integer)):
         return v.item()
     raise TypeError(f"not JSON-serializable: {type(v)!r}")
@@ -515,11 +513,5 @@ def rows_to_csv(rows: list) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
-    for r in rows:
-        writer.writerow(
-            {
-                k: (f"{v.real!r}{v.imag:+}j" if isinstance(v, complex) else v)
-                for k, v in r.items()
-            }
-        )
+    writer.writerows(rows)
     return buf.getvalue()

@@ -19,29 +19,41 @@ DEFAULT_FUNCTION_LIMIT = 10**7
 
 
 class CompletelyMultiplicativeFunction:
-    """Base: values determined by unimodular-or-zero data on primes."""
+    """Base: values determined by unimodular-or-zero data on primes.
+
+    A subclass states its values once, either in closed form as `values_at`
+    or on primes as `prime_values`; each default is built from the other.
+    A kind given only on primes is summed by re-sieving from 1 for every
+    block of dirichlet._BLOCK terms, so keep its limit within one block.
+    """
 
     limit: int = DEFAULT_FUNCTION_LIMIT
     label: str = "abstract"
 
-    def prime_values(self, primes: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def values_at(self, n: np.ndarray) -> np.ndarray:
+        """f(n) for an int64 array of n >= 1.
 
-    def values_up_to(self, x) -> np.ndarray:
-        """Array v with v[n] = f(n) for 0 <= n <= floor(x); v[0] = 0.
-
-        Generic path: multiply one prime factor at a time over sieved
-        prime-power progressions.
+        Generic path: sieve up to max(n) from prime_values, multiplying one
+        prime factor at a time over prime-power progressions.
         """
-        n = self._check_range(x)
-        ps = sieve.primes_up_to(n)
-        vals = np.ones(n + 1, dtype=np.complex128)
-        vals[0] = 0.0
+        top = int(np.max(n, initial=1))
+        ps = sieve.primes_up_to(top)
+        vals = np.ones(top + 1, dtype=np.complex128)
         for p, v in zip(ps, self.prime_values(ps)):
             pk = p
-            while pk <= n:
+            while pk <= top:
                 vals[pk::pk] *= v
                 pk *= p
+        return vals[n]
+
+    def prime_values(self, primes: np.ndarray) -> np.ndarray:
+        return self.values_at(np.asarray(primes))
+
+    def values_up_to(self, x) -> np.ndarray:
+        """Array v with v[n] = f(n) for 0 <= n <= floor(x); v[0] = 0."""
+        n = self._check_range(x)
+        vals = np.zeros(n + 1, dtype=np.complex128)
+        vals[1:] = self.values_at(np.arange(1, n + 1, dtype=np.int64))
         return vals
 
     def _check_range(self, x) -> int:
@@ -58,9 +70,6 @@ class CompletelyMultiplicativeFunction:
     def power(self, k: int) -> "CompletelyMultiplicativeFunction":
         return PowerFunction(self, k)
 
-    def twist(self, phi: float) -> "CompletelyMultiplicativeFunction":
-        return TwistedFunction(self, phi)
-
     def __repr__(self):
         return f"<{type(self).__name__} {self.label}>"
 
@@ -68,14 +77,8 @@ class CompletelyMultiplicativeFunction:
 class ConstantOne(CompletelyMultiplicativeFunction):
     label = "one"
 
-    def prime_values(self, primes):
-        return np.ones(len(primes), dtype=np.complex128)
-
-    def values_up_to(self, x):
-        n = self._check_range(x)
-        vals = np.ones(n + 1, dtype=np.complex128)
-        vals[0] = 0.0
-        return vals
+    def values_at(self, n):
+        return np.ones(len(n), dtype=np.complex128)
 
 
 class ArchimedeanTwist(CompletelyMultiplicativeFunction):
@@ -85,16 +88,8 @@ class ArchimedeanTwist(CompletelyMultiplicativeFunction):
         self.alpha = float(alpha)
         self.label = f"ntoi:{self.alpha:g}"
 
-    def prime_values(self, primes):
-        return np.exp(1j * self.alpha * np.log(primes.astype(np.float64)))
-
-    def values_up_to(self, x):
-        n = self._check_range(x)
-        out = np.empty(n + 1, dtype=np.complex128)
-        out[0] = 0.0
-        m = np.arange(1, n + 1, dtype=np.float64)
-        out[1:] = np.exp(1j * self.alpha * np.log(m))
-        return out
+    def values_at(self, n):
+        return np.exp(1j * self.alpha * np.log(n))
 
 
 class CharacterFunction(CompletelyMultiplicativeFunction):
@@ -102,16 +97,8 @@ class CharacterFunction(CompletelyMultiplicativeFunction):
         self.chi = chi
         self.label = f"char:{chi.q}.{chi.conrey}"
 
-    def prime_values(self, primes):
-        table = dirichlet.value_table(self.chi)
-        return table[np.asarray(primes) % self.chi.q]
-
-    def values_up_to(self, x):
-        n = self._check_range(x)
-        table = dirichlet.value_table(self.chi)
-        out = table[np.arange(n + 1) % self.chi.q].astype(np.complex128)
-        out[0] = 0.0
-        return out
+    def values_at(self, n):
+        return dirichlet.value_table(self.chi)[n % self.chi.q]
 
 
 class RandomPMFunction(CompletelyMultiplicativeFunction):
@@ -134,6 +121,10 @@ class RandomPMFunction(CompletelyMultiplicativeFunction):
         return self._signs[idx].astype(np.complex128)
 
 
+# The combinators keep prime_values from their parts' prime_values, so a
+# caller that needs only primes never runs a part's generic sieve.
+
+
 class TwistedFunction(CompletelyMultiplicativeFunction):
     """f_phi(n) = f(n) n^{-i phi}; a view, never a new prime table."""
 
@@ -143,16 +134,16 @@ class TwistedFunction(CompletelyMultiplicativeFunction):
         self.limit = base.limit
         self.label = f"twist({base.label},{self.phi:g})"
 
+    def values_at(self, n):
+        # f(n) stays named: numpy then reuses the exp temporary of a large
+        # block and multiplies as n^{-i phi} * f(n), the order the pinned
+        # results hold (a complex product rounds by its operand order)
+        vals = self.base.values_at(n)
+        return vals * np.exp(-1j * self.phi * np.log(n))
+
     def prime_values(self, primes):
         lp = np.log(np.asarray(primes, dtype=np.float64))
         return self.base.prime_values(primes) * np.exp(-1j * self.phi * lp)
-
-    def values_up_to(self, x):
-        vals = self.base.values_up_to(x)
-        n = len(vals) - 1
-        m = np.arange(1, n + 1, dtype=np.float64)
-        vals[1:] = vals[1:] * np.exp(-1j * self.phi * np.log(m))
-        return vals
 
 
 class ProductFunction(CompletelyMultiplicativeFunction):
@@ -161,11 +152,11 @@ class ProductFunction(CompletelyMultiplicativeFunction):
         self.limit = min(f.limit, g.limit)
         self.label = f"({f.label})*({g.label})"
 
+    def values_at(self, n):
+        return self.f.values_at(n) * self.g.values_at(n)
+
     def prime_values(self, primes):
         return self.f.prime_values(primes) * self.g.prime_values(primes)
-
-    def values_up_to(self, x):
-        return self.f.values_up_to(x) * self.g.values_up_to(x)
 
 
 class PowerFunction(CompletelyMultiplicativeFunction):
@@ -176,11 +167,11 @@ class PowerFunction(CompletelyMultiplicativeFunction):
         self.limit = f.limit
         self.label = f"({f.label})^{k}"
 
+    def values_at(self, n):
+        return self.f.values_at(n) ** self.k
+
     def prime_values(self, primes):
         return self.f.prime_values(primes) ** self.k
-
-    def values_up_to(self, x):
-        return self.f.values_up_to(x) ** self.k
 
 
 def parse_function(spec: str) -> CompletelyMultiplicativeFunction:
@@ -203,9 +194,7 @@ def parse_function(spec: str) -> CompletelyMultiplicativeFunction:
 
 
 def mean_value(f: CompletelyMultiplicativeFunction, x) -> complex:
-    n = int(math.floor(x))
-    vals = f.values_up_to(n)
-    return complex(np.sum(vals)) / x
+    return dirichlet._blocked_sum(f.values_at, f._check_range(x)) / x
 
 
 def distance_sq(f, g, x) -> float:
@@ -232,9 +221,12 @@ def truncated_F(f, s: complex, n_max: int):
     s = complex(s)
     if s.real <= 1:
         raise DomainError("Dirichlet series needs Re s > 1 under |f| <= 1")
-    vals = f.values_up_to(n_max)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    total = complex(np.sum(vals[1:] * np.exp(-s * np.log(n))))
+
+    def terms(n):
+        vals = f.values_at(n)  # named, for the operand order of TwistedFunction
+        return vals * np.exp(-s * np.log(n))
+
+    total = dirichlet._blocked_sum(terms, f._check_range(n_max))
     tail = n_max ** (1.0 - s.real) / (s.real - 1.0)
     return total, tail
 
@@ -473,15 +465,10 @@ def slow_variation_probe(f, x, z) -> SlowVariationReport:
         raise DomainError("need sqrt(x) <= z <= x^2")
     data = find_phi_and_M(f, x)
     phi = data.phi
-    top = int(math.floor(max(x, z)))
-    vals_f = f.values_up_to(top)
-    n = np.arange(top + 1, dtype=np.float64)
-    n[0] = 1.0
-    vals_fphi = vals_f * np.exp(-1j * phi * np.log(n))
-    nx, nz = int(math.floor(x)), int(math.floor(z))
-    mean_f_x = complex(np.sum(vals_f[: nx + 1])) / x
-    mean_fphi_x = complex(np.sum(vals_fphi[: nx + 1])) / x
-    mean_fphi_z = complex(np.sum(vals_fphi[: nz + 1])) / z
+    f_phi = TwistedFunction(f, phi)
+    mean_f_x = mean_value(f, x)
+    mean_fphi_x = mean_value(f_phi, x)
+    mean_fphi_z = mean_value(f_phi, z)
     rotate = x ** (1j * phi) / (1.0 + 1j * phi)
     hal2 = abs(mean_f_x - rotate * mean_fphi_x)
     hal3 = abs(mean_fphi_x - mean_fphi_z)
@@ -533,10 +520,18 @@ def large_mean_witness(
         count = len(ys)
     else:
         ys = np.exp(np.linspace(math.log(lo), math.log(x), count))
-    vals = f.values_up_to(x)
-    csum = np.cumsum(vals)
-    idx = np.minimum(np.floor(ys).astype(np.int64), len(vals) - 1)
-    means = csum[idx] / ys
+    # prefix sums S(floor y), one block at a time; each block's cumsum starts
+    # from the previous block's total, so they match one cumsum over 0..x
+    f._check_range(x)
+    idx = np.minimum(np.floor(ys).astype(np.int64), n_hi)
+    sums = np.zeros(len(idx), dtype=np.complex128)
+    carry = 0j
+    for n in dirichlet._blocks(n_hi):
+        csum = np.cumsum(np.concatenate(([carry], f.values_at(n))))
+        a, b = np.searchsorted(idx, [n[0], n[-1] + 1])
+        sums[a:b] = csum[idx[a:b] - n[0] + 1]
+        carry = csum[-1]
+    means = sums / ys
     j = int(np.argmax(np.abs(means)))
     guarantee = math.exp(-data.M) / abs(1.0 + 1j * data.phi)
     return WitnessReport(

@@ -56,8 +56,6 @@ def _segmented_sieve(n: int) -> np.ndarray:
         for p in base_odd:
             p = int(p)
             start = ((first + p - 1) // p) * p
-            if start < p * p:
-                start = p * p
             if start % 2 == 0:
                 start += p
             if start > hi:
@@ -78,20 +76,6 @@ def primes_up_to(n: float) -> np.ndarray:
         _cache_n = n
     idx = np.searchsorted(_cache_primes, n, side="right")
     return _cache_primes[:idx]
-
-
-def spf_table(n: int) -> np.ndarray:
-    """smallest-prime-factor table for 0..n (spf[0] = spf[1] = 1)."""
-    check_limit(n, "spf_table argument")
-    spf = np.zeros(n + 1, dtype=np.int64)
-    spf[:2] = 1
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            spf[p * p :: p][spf[p * p :: p] == 0] = p
-            spf[p] = p
-    rest = np.nonzero(spf == 0)[0]
-    spf[rest] = rest
-    return spf
 
 
 def von_mangoldt_array(n: int) -> np.ndarray:

@@ -36,14 +36,6 @@ def test_von_mangoldt_values():
     assert abs(big.sum() - 1e5) < 1e5 * 0.01
 
 
-def test_spf_table_factors():
-    spf = sieve.spf_table(100)
-    for n in range(2, 101):
-        p = spf[n]
-        assert n % p == 0
-        assert sieve.is_prime(int(p))
-
-
 def test_euler_phi():
     assert sieve.euler_phi(1) == 1
     assert sieve.euler_phi(12) == 4
