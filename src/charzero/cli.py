@@ -144,12 +144,7 @@ def _cmd_distance(args, constants):
 
 
 def _cmd_halasz(args, constants):
-    if args.f:
-        f = parse_function(args.f)
-    else:
-        if args.q is None or args.conrey is None:
-            raise DomainError("halasz wants --f or both --q and --conrey")
-        f = multfn.CharacterFunction(dirichlet.character(args.q, args.conrey))
+    f = parse_function(args.f)
     row = {"f": f.label, **harness.report_dict(multfn.halasz_bound(f, args.x))}
     return row, [row]
 
@@ -226,17 +221,14 @@ def _cmd_constants(args, constants):
 
 
 def _cmd_bound(args, constants):
-    if args.mode == "mean-upper":
-        arg = args.alpha if args.alpha is not None else args.u
-        if arg is None:
-            raise DomainError("mean-upper wants --alpha")
-        value = spectral.mean_value_upper_bound(arg)
-    else:
-        arg = args.u if args.u is not None else args.alpha
-        if arg is None:
-            raise DomainError("nonresidue-lower wants --u")
-        value = spectral.nonresidue_density_lower_bound(arg)
-    row = {"mode": args.mode, "argument": arg, "value": value}
+    flag, other, bound = {
+        "mean-upper": ("alpha", "u", spectral.mean_value_upper_bound),
+        "nonresidue-lower": ("u", "alpha", spectral.nonresidue_density_lower_bound),
+    }[args.mode]
+    arg = getattr(args, flag)
+    if arg is None or getattr(args, other) is not None:
+        raise DomainError(f"{args.mode} takes --{flag} and not --{other}")
+    row = {"mode": args.mode, "argument": arg, "value": bound(arg)}
     return row, [row]
 
 
@@ -302,9 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_distance)
 
     p = sub.add_parser("halasz", help="Halasz mean-value report")
-    p.add_argument("--f")
-    p.add_argument("--q", type=int)
-    p.add_argument("--conrey", type=int)
+    p.add_argument("--f", required=True)
     p.add_argument("--x", type=float, required=True)
     p.set_defaults(func=_cmd_halasz)
 

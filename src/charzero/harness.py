@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import __version__, dirichlet, multfn, sieve, spectral, zeros
-from .errors import CountMismatchError, DomainError
+from .errors import DomainError
 
 # budget denominators for the two sliding-window corollary selectors
 _SELECTORS = {"fixed-window": 1600.0, "twisted-window": 1440.0}
@@ -109,15 +109,8 @@ def _audit_modulus(q: int, chars: list, config: ScenarioConfig) -> list:
         bound = c.sum_bound_C * x / math.log(x) ** 0.01 if x > 1 else x
         hyp_ok = config.eps > logq ** (-1.0 / 3.0)
     else:
-        span = config.T + 0.25
-        rect = zeros.Rectangle(0.75, 1.0, -span, span)
-        counts = zeros.count_zeros_family(chars, rect)
-        for chi, n in zip(chars, counts):
-            if n:
-                raise CountMismatchError(
-                    f"winding count is {n} in a box off the critical line "
-                    f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
-                )
+        rect = zeros.Rectangle(0.75, 1.0, -config.T - 0.25, config.T + 0.25)
+        counts = [len(r) for r in zeros.locate_zeros_family(chars, rect)]
         bound = c.sum_bound_C * x / config.T
         hyp_ok = (
             1.0 <= config.T <= logq ** (1.0 / 200.0)
@@ -172,10 +165,10 @@ def corollary_zero_budget_audit(config: ScenarioConfig) -> AuditReport:
     and rectangle (`zeros.count_zeros_family`): fixed-window counts zeros in
     Re >= 3/4, |Im| <= 1/4, and near_one_has_zero is a nonzero count on the
     near-1 rectangle.  twisted-window, whose windows |Im - phi| <= 1/4 with
-    |phi| <= T all lie in Re >= 3/4, |Im| <= T + 1/4, counts that box: a
-    count of 0 leaves every window empty, and a nonzero count raises
-    CountMismatchError, since its zeros lie off the critical line and
-    cannot be located to find the worst window.  Rows come in
+    |phi| <= T all lie in Re >= 3/4, |Im| <= T + 1/4, locates that box's
+    zeros (`zeros.locate_zeros_family`): an empty box leaves every window
+    empty, and a nonzero count raises CountMismatchError, since its zeros
+    lie off the critical line and cannot be located.  Rows come in
     (q, conrey) order: moduli ascend and each modulus lists its characters
     by Conrey label.
     """

@@ -120,41 +120,37 @@ def _em_tail(s: np.ndarray, xs: np.ndarray, N: np.ndarray, B: int):
     """The (points x shifts) tails past each point's first N terms, and each
     point's remainder bound summed over the shifts.
 
-    N holds one shift per point.  Valid whenever Re s + B + 1 > 0.
+    N holds one shift per point.  Valid whenever Re s + B + 1 > 0.  s comes
+    from _contract in blocks of max(1, _CHUNK // len(xs)) points.
     """
-    sigma = s.real
-    denom = sigma + B + 1
+    denom = s.real + B + 1
     if np.any(denom <= 0):
         raise DomainError("Re s too far left for this Bernoulli depth")
-    rows = np.empty((len(s), len(xs)), dtype=np.complex128)
-    bound = np.empty(s.shape)
-    step = max(1, _CHUNK // len(xs))
-    for lo in range(0, len(s), step):
-        sc, dc = s[lo : lo + step, None], denom[lo : lo + step]
-        lw = np.log(N[lo : lo + step, None] + xs)
-        # sum over the shifts of (N + x)^-(sigma+B+1), for the bound below
-        per_unit = np.sum(np.exp(-dc[:, None] * lw), axis=1)
-        # ((N + x)^(1-s) - 1)/(s - 1), continued through s = 1
-        rows[lo : lo + step] = -lw * _phi1((1.0 - sc) * lw)
-        ws = np.exp(-sc * lw)
-        # 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-2j)
-        series = np.full(ws.shape, 0.5, dtype=np.complex128)
-        pw = 1.0 / (N[lo : lo + step, None] + xs)
-        inv_sq = pw * pw
-        poch = sc
-        for j in range(1, B // 2 + 1):
-            series += (_BERN_OVER_FACT[2 * j] * poch) * pw
-            pw = pw * inv_sq
-            poch = poch * (sc + (2 * j - 1)) * (sc + 2 * j)
-        rows[lo : lo + step] += ws * series
-        # poch is now (s)_{B+1}; the remainder is
-        # |B_{B+2}/(B+2)!| |(s)_{B+2}| (N + x)^-(sigma+B+1) / (sigma+B+1)
-        bound[lo : lo + step] = (
-            abs(_BERN_OVER_FACT[B + 2])
-            * np.abs(poch[:, 0] * (sc[:, 0] + B + 1))
-            * per_unit
-            / dc
-        )
+    sc = s[:, None]
+    lw = np.log(N[:, None] + xs)
+    # sum over the shifts of (N + x)^-(sigma+B+1), for the bound below
+    per_unit = np.sum(np.exp(-denom[:, None] * lw), axis=1)
+    # ((N + x)^(1-s) - 1)/(s - 1), continued through s = 1
+    rows = -lw * _phi1((1.0 - sc) * lw)
+    ws = np.exp(-sc * lw)
+    # 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-2j)
+    series = np.full(ws.shape, 0.5, dtype=np.complex128)
+    pw = 1.0 / (N[:, None] + xs)
+    inv_sq = pw * pw
+    poch = sc
+    for j in range(1, B // 2 + 1):
+        series += (_BERN_OVER_FACT[2 * j] * poch) * pw
+        pw = pw * inv_sq
+        poch = poch * (sc + (2 * j - 1)) * (sc + 2 * j)
+    rows += ws * series
+    # poch is now (s)_{B+1}; the remainder is
+    # |B_{B+2}/(B+2)!| |(s)_{B+2}| (N + x)^-(sigma+B+1) / (sigma+B+1)
+    bound = (
+        abs(_BERN_OVER_FACT[B + 2])
+        * np.abs(poch[:, 0] * (sc[:, 0] + B + 1))
+        * per_unit
+        / denom
+    )
     return rows, bound
 
 
@@ -347,10 +343,7 @@ class LEvaluator:
 
     def xi_values(self, s_array):
         """xi(s) = (q/pi)^((s+a)/2) Gamma((s+a)/2) L(s, chi); primitive only."""
-        _require_xi([self.chi])
-        s = np.atleast_1d(np.asarray(s_array, dtype=np.complex128)).ravel()
-        lvals, _ = self.values(s)
-        out = _complete([self.chi], s, lvals[None])[0]
+        out = family_xi([self.chi], s_array)[0]
         return complex(out[0]) if np.ndim(s_array) == 0 else out
 
 

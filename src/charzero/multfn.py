@@ -134,16 +134,15 @@ class TwistedFunction(CompletelyMultiplicativeFunction):
         self.limit = base.limit
         self.label = f"twist({base.label},{self.phi:g})"
 
+    # both methods multiply as n^{-i phi} * f(n) through np.multiply: a
+    # complex product rounds by its operand order, and with `*` numpy's
+    # temporary elision swaps the operands of arrays past 16,384 entries
     def values_at(self, n):
-        # f(n) stays named: numpy then reuses the exp temporary of a large
-        # block and multiplies as n^{-i phi} * f(n), the order the pinned
-        # results hold (a complex product rounds by its operand order)
-        vals = self.base.values_at(n)
-        return vals * np.exp(-1j * self.phi * np.log(n))
+        return np.multiply(np.exp(-1j * self.phi * np.log(n)), self.base.values_at(n))
 
     def prime_values(self, primes):
         lp = np.log(np.asarray(primes, dtype=np.float64))
-        return self.base.prime_values(primes) * np.exp(-1j * self.phi * lp)
+        return np.multiply(np.exp(-1j * self.phi * lp), self.base.prime_values(primes))
 
 
 class ProductFunction(CompletelyMultiplicativeFunction):
@@ -223,8 +222,8 @@ def truncated_F(f, s: complex, n_max: int):
         raise DomainError("Dirichlet series needs Re s > 1 under |f| <= 1")
 
     def terms(n):
-        vals = f.values_at(n)  # named, for the operand order of TwistedFunction
-        return vals * np.exp(-s * np.log(n))
+        # n^{-s} * f(n) in one fixed order, as in TwistedFunction
+        return np.multiply(np.exp(-s * np.log(n)), f.values_at(n))
 
     total = dirichlet._blocked_sum(terms, f._check_range(n_max))
     tail = n_max ** (1.0 - s.real) / (s.real - 1.0)

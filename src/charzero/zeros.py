@@ -2,16 +2,17 @@
 
 Counting uses the completed xi along rectangle boundaries (no Gamma poles or
 trivial zeros interfere inside the strip); a box symmetric about Re s = 1/2
-is counted from its right half through the functional equation.  The
-characters of one modulus are counted together, from one xi evaluation per
-contour point (count_zeros_family); count_zeros is its one-character case.
-Locating has one route, "critical-line": on a box that meets Re s = 1/2,
-the sign changes of the real Hardy function Z(t) are counted at the scan
-spacing, halved up to _HALVINGS times until they number the winding count.
-Then every zero is simple and on the line, and each is refined on the line by
-a bracketing root finder (beta = 1/2 exactly).  A count the line cannot
-account for is a CountMismatchError, never a second search.  Every box must
-lie in the evaluator's fixed window, lfunction.WINDOW.
+is counted from its right half through the functional equation.  Counting
+and locating both serve the characters of one modulus together, one xi
+evaluation per point for them all (count_zeros_family, locate_zeros_family);
+count_zeros and locate_zeros are the one-character cases.  Locating has one
+route, "critical-line": on a box that meets Re s = 1/2, the sign changes of
+the real Hardy function Z(t) are counted at the scan spacing, halved up to
+_HALVINGS times until they number the winding count.  Then every zero is
+simple and on the line, and each is refined on the line by a bracketing
+root finder (beta = 1/2 exactly).  A count the line cannot account for is a
+CountMismatchError, never a second search.  Every box must lie in the
+evaluator's fixed window, lfunction.WINDOW.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .errors import (
     CoverageError,
     DomainError,
 )
-from .lfunction import WINDOW, LEvaluator, _density_tail, family_xi
+from .lfunction import WINDOW, LEvaluator, _density_tail, family_values, family_xi
 
 _PERTURB = 1.37e-4
 # a line scan whose sign changes miss the winding count is repeated at half
@@ -165,25 +166,29 @@ def count_zeros_family(chars, rect: Rectangle) -> list:
     return counts
 
 
-def hardy_z(chi: dirichlet.Character, t):
-    """Z(t) = xi(1/2 + it) eps^(-1/2), eps = tau(chi) / (i^a sqrt q).
+def hardy_z(chars, t):
+    """Z(t) = xi(1/2 + it) eps^(-1/2), eps = tau(chi) / (i^a sqrt q), as a
+    (k x points) array for k characters of one modulus, from one family_xi.
 
     The functional equation xi(s) = eps conj(xi(1 - conj(s))) makes Z real;
-    the complex value is returned so that its rounding can be checked.
+    the complex values are returned so that their rounding can be checked.
     """
-    eps = dirichlet.gauss_sum(chi) / (1j**chi.parity * math.sqrt(chi.q))
+    chars = list(chars)
+    root_eps = np.sqrt(
+        [dirichlet.gauss_sum(chi) / (1j**chi.parity * math.sqrt(chi.q)) for chi in chars]
+    )
     s = 0.5 + 1j * np.asarray(t, dtype=np.float64)
-    return LEvaluator(chi).xi_values(s) / np.sqrt(eps)
+    return family_xi(chars, s) / root_eps[:, None]
 
 
-def _refine_on_line(chi, a, b, za, zb):
-    """Roots of the real Z in the brackets [a_i, b_i], za and zb of opposite
-    signs, by the Illinois method with one hardy_z call per step.
+def _refine_on_line(chars, rows, a, b, za, zb):
+    """Roots of the real Z in the brackets [a_i, b_i] of chars[rows_i], za and
+    zb of opposite signs (float arrays, updated in place), by the Illinois
+    method: one hardy_z call per step serves every bracket.
 
     A bracket stops once it is at most _GAMMA_TOL wide or Z vanishes at its
     new point; each root is the end with the smaller |Z|.
     """
-    a, b, za, zb = (np.array(v, dtype=np.float64) for v in (a, b, za, zb))
     kept = np.zeros(len(a), dtype=int)  # end kept last step: -1 a, +1 b, 0 none
     for _ in range(_FINDER_CAP):
         live = np.nonzero(b - a > _GAMMA_TOL)[0]
@@ -194,7 +199,7 @@ def _refine_on_line(chi, a, b, za, zb):
         # step at least half the tolerance in from each end, so a root sitting
         # at an end closes its bracket on the next step
         c = np.clip(c, al + 0.5 * _GAMMA_TOL, bl - 0.5 * _GAMMA_TOL)
-        zc = hardy_z(chi, c).real
+        zc = hardy_z(chars, c).real[rows[live], np.arange(live.size)]
         hit = zc == 0
         a[live[hit]] = b[live[hit]] = c[hit]
         # replace the end whose sign zc shares; halve the other end's value
@@ -207,78 +212,98 @@ def _refine_on_line(chi, a, b, za, zb):
         zb[ia[kept[ia] == 1]] *= 0.5
         za[ib[kept[ib] == -1]] *= 0.5
         kept[ia], kept[ib] = 1, -1
+    chi = chars[rows[live[0]]]
     raise ConvergenceError(
         f"critical-line root finder did not settle in {_FINDER_CAP} steps "
         f"(q={chi.q}, conrey={chi.conrey})"
     )
 
 
-def _locate_on_line(chi, rect: Rectangle, spacing: float, target: int):
-    """(sign changes of Z on the box's piece of Re s = 1/2 at step `spacing`,
-    the zeros there or None unless those changes number `target`).
-
-    Each sign change is a zero on the line, so when they number the winding
-    count every zero in the box is simple and on the line.  A scan point
-    where Z is exactly 0 makes the scan a miss.
-    """
-    n = max(1, math.ceil((rect.t2 - rect.t1) / spacing))
-    ts = np.linspace(rect.t1, rect.t2, n + 1)
-    z = hardy_z(chi, ts).real
-    sign = np.sign(z)
-    lo = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if len(lo) != target or not sign.all():
-        return len(lo), None
-    gammas = _refine_on_line(chi, ts[lo], ts[lo + 1], z[lo], z[lo + 1])
-    lvals, _ = LEvaluator(chi).values(0.5 + 1j * gammas)
-    return len(lo), [
-        ZeroRecord(
-            q=chi.q,
-            conrey=chi.conrey,
-            beta=0.5,
-            gamma=float(g),
-            residual=float(r),
-            method="critical-line",
-        )
-        for g, r in zip(gammas, np.abs(lvals))
-    ]
-
-
 def locate_zeros(
     chi: dirichlet.Character, rect: Rectangle, spacing: float = 0.05
 ) -> list:
-    """All zeros in the rectangle, each on the critical line, cross-checked
-    against the winding count.
+    """The zeros in the rectangle: locate_zeros_family for chi alone."""
+    return _locate([chi], rect, spacing)[0]
 
-    `spacing` must be finite and positive.  A winding count of 0 certifies an
-    empty box, so it returns [] without a scan.  A box with
-    sigma1 <= 1/2 <= sigma2 scans the real Hardy Z at `spacing` along its
-    piece of the line; while the sign changes miss the winding count, the
-    spacing is halved and the line scanned again, at most _HALVINGS times.
-    Once they match, every zero is refined on the line (beta = 1/2 exactly,
-    method "critical-line").  A box with an edge on the line takes this
-    route too, since its count, perturbed outward off the zeros on that
-    edge, holds them.  A count the line cannot account for (a multiple zero,
-    a zero off the line, or a box that misses the line with a nonzero
-    count) raises CountMismatchError: a zero is never dropped silently.
+
+def locate_zeros_family(chars, rect: Rectangle, spacing: float = 0.05) -> list:
+    """All zeros in the rectangle of primitive nonprincipal characters of one
+    modulus, one record list per character in the order given, each zero on
+    the critical line and cross-checked against its winding count.
+
+    `spacing` must be finite and positive.  A count of 0 certifies an empty
+    box: that character gets [] without a scan.  On a box with
+    sigma1 <= 1/2 <= sigma2, Z is scanned at `spacing` along the box's piece
+    of the line for every character with a nonzero count at once; the rows
+    whose sign changes miss their count are scanned again at half the
+    spacing, at most _HALVINGS times.  Then all the brackets are refined
+    together (beta = 1/2 exactly, method "critical-line").  A box with an
+    edge on the line takes this route too, since its count, perturbed
+    outward off the zeros on that edge, holds them.  A count the line cannot
+    account for (a multiple zero, a zero off the line, or a box that misses
+    the line with a nonzero count) raises CountMismatchError naming the
+    first such character: a zero is never dropped silently.
     """
+    return _locate(chars, rect, spacing)
+
+
+def _locate(chars, rect: Rectangle, spacing: float) -> list:
     if not (math.isfinite(spacing) and spacing > 0):
         raise DomainError(f"spacing must be finite and positive, got {spacing}")
-    target = count_zeros(chi, rect)
-    if target == 0:
-        return []
-    where = f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
-    if not rect.sigma1 <= 0.5 <= rect.sigma2:
+    chars = list(chars)
+    targets = count_zeros_family(chars, rect)
+    todo = [i for i, n in enumerate(targets) if n]
+    if todo and not rect.sigma1 <= 0.5 <= rect.sigma2:
+        chi = chars[todo[0]]
         raise CountMismatchError(
-            f"winding count is {target} in a box off the critical line {where}"
+            f"winding count is {targets[todo[0]]} in a box off the critical line "
+            f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
         )
+    found = {}  # character index -> (a, b, Z(a), Z(b)) of its brackets
     for k in range(_HALVINGS + 1):
-        found, records = _locate_on_line(chi, rect, spacing / 2**k, target)
-        if records is not None:
-            return records
-    raise CountMismatchError(
-        f"Z changes sign {found} times at spacing {spacing / 2**_HALVINGS!r} "
-        f"but winding count is {target} {where}"
-    )
+        if not todo:
+            break
+        n = max(1, math.ceil((rect.t2 - rect.t1) / (spacing / 2**k)))
+        ts = np.linspace(rect.t1, rect.t2, n + 1)
+        missed = []  # (character index, sign changes) of the rows to rescan
+        for i, z in zip(todo, hardy_z([chars[i] for i in todo], ts).real):
+            # a scan point where Z is exactly 0 makes the scan a miss
+            sign = np.sign(z)
+            lo = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+            if len(lo) == targets[i] and sign.all():
+                found[i] = (ts[lo], ts[lo + 1], z[lo], z[lo + 1])
+            else:
+                missed.append((i, len(lo)))
+        todo = [i for i, _ in missed]
+    if todo:
+        i, changes = missed[0]
+        chi = chars[i]
+        raise CountMismatchError(
+            f"Z changes sign {changes} times at spacing {spacing / 2**_HALVINGS!r} "
+            f"but winding count is {targets[i]} (q={chi.q}, conrey={chi.conrey}, "
+            f"rect={rect})"
+        )
+    records = [[] for _ in chars]
+    if not found:
+        return records
+    located = sorted(found)
+    family = [chars[i] for i in located]
+    rows = np.concatenate([np.full(len(found[i][0]), j) for j, i in enumerate(located)])
+    ends = (np.concatenate(v) for v in zip(*(found[i] for i in located)))
+    gammas = _refine_on_line(family, rows, *ends)
+    lvals, _ = family_values(family, 0.5 + 1j * gammas)
+    for g, r, j in zip(gammas, np.abs(lvals[rows, np.arange(len(rows))]), rows):
+        records[located[j]].append(
+            ZeroRecord(
+                q=family[j].q,
+                conrey=family[j].conrey,
+                beta=0.5,
+                gamma=float(g),
+                residual=float(r),
+                method="critical-line",
+            )
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_zeros_bad_spacing_exits_2(capsys):
 
 def test_zeros_count_mismatch_exits_2(capsys, monkeypatch):
     # a nonzero count in a box off the critical line cannot be located
-    monkeypatch.setattr(zeros, "count_zeros", lambda chi, rect: 1)
+    monkeypatch.setattr(zeros, "count_zeros_family", lambda chars, rect: [1] * len(chars))
     argv = ["zeros", "--q", "4", "--conrey", "3", "--rect", "0.75,1,-0.25,0.25"]
     code, out, err = run(capsys, argv)
     assert code == 2
@@ -312,3 +312,21 @@ def test_halasz_cli(capsys):
     assert code == 0
     assert payload["ratio"] == pytest.approx(1.0, abs=1e-3)
     assert payload["phi"] == 0.0
+
+
+def test_halasz_takes_only_f(capsys):
+    code, out, err = run(capsys, ["halasz", "--q", "19", "--conrey", "18", "--x", "10000"])
+    assert code == 2
+    assert out == "" and err.count("error:") == 1, err
+
+
+def test_bound_rejects_other_mode_flag(capsys):
+    for argv in (
+        ["bound", "--mode", "mean-upper", "--u", "0.8"],
+        ["bound", "--mode", "mean-upper", "--alpha", "1.0", "--u", "0.8"],
+        ["bound", "--mode", "nonresidue-lower", "--alpha", "1.0"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err

@@ -23,9 +23,14 @@ def test_values_completely_multiplicative():
         multfn.PowerFunction(LEG5, 3),
         multfn.ProductFunction(multfn.RandomPMFunction(7), LEG5),
     ]
-    ps = sieve.primes_up_to(5000)
-    for f in funcs:
-        vals = f.values_up_to(5000)
+    cases = [(f, 5000) for f in funcs]
+    # a complex base past 16,384 entries, where numpy's temporary elision
+    # would swap the operands of a `*` product (which rounds by their order)
+    chi73 = multfn.CharacterFunction(dirichlet.character(7, 3))
+    cases.append((multfn.TwistedFunction(chi73, -1.3), 3 * 10**5))
+    for f, x in cases:
+        ps = sieve.primes_up_to(x)
+        vals = f.values_up_to(x)
         assert np.array_equal(vals[ps], f.prime_values(ps))
         assert vals[1] == pytest.approx(1, abs=1e-14)
         for _ in range(60):

@@ -240,8 +240,10 @@ def test_symmetric_count_stays_right_of_line(monkeypatch):
 def test_hardy_z_real_on_scan_points():
     ts = np.linspace(0.0, 20.0, 401)
     for q in range(3, 31):
-        for chi in dirichlet.enumerate_characters(q, primitive_only=True):
-            z = zeros.hardy_z(chi, ts)
+        family = dirichlet.enumerate_characters(q, primitive_only=True)
+        if not family:
+            continue
+        for chi, z in zip(family, zeros.hardy_z(family, ts)):
             assert np.all(np.abs(z.imag) <= 1e-9 * np.abs(z)), (q, chi.conrey)
 
 
@@ -293,17 +295,19 @@ def test_coarse_line_scan_falls_back(monkeypatch):
 
 def test_count_mismatch_on_line_raises_after_last_halving(monkeypatch):
     scans = []
-    hardy_z, count_zeros = zeros.hardy_z, zeros.count_zeros
+    hardy_z, count_family = zeros.hardy_z, zeros.count_zeros_family
 
-    def recording(chi, t):
+    def recording(chars, t):
         scans.append(np.size(t))
-        return hardy_z(chi, t)
+        return hardy_z(chars, t)
 
     monkeypatch.setattr(zeros, "hardy_z", recording)
     # one zero more than the line holds: no halving can account for it
-    monkeypatch.setattr(zeros, "count_zeros", lambda chi, rect: count_zeros(chi, rect) + 1)
+    monkeypatch.setattr(
+        zeros, "count_zeros_family", lambda chars, r: [n + 1 for n in count_family(chars, r)]
+    )
     rect = zeros.Rectangle(0, 1, 0, 11)
-    assert count_zeros(CHI4, rect) == 2
+    assert count_family([CHI4], rect) == [2]
     want = r"2 times .* winding count is 3 \(q=4, conrey=3"
     with pytest.raises(CountMismatchError, match=want):
         zeros.locate_zeros(CHI4, rect, spacing=0.5)
@@ -316,7 +320,7 @@ def test_off_line_nonzero_count_raises_without_scan(monkeypatch):
         raise AssertionError("scanned the line of a box that does not straddle it")
 
     monkeypatch.setattr(zeros, "hardy_z", fail)
-    monkeypatch.setattr(zeros, "count_zeros", lambda chi, rect: 1)
+    monkeypatch.setattr(zeros, "count_zeros_family", lambda chars, rect: [1] * len(chars))
     rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
     with pytest.raises(CountMismatchError, match=r"winding count is 1 .*q=4, conrey=3"):
         zeros.locate_zeros(CHI4, rect)
@@ -400,3 +404,42 @@ def test_family_count_names_unusable_character(monkeypatch):
     monkeypatch.setattr(zeros, "family_xi", broken)
     with pytest.raises(ContourError, match=r"q=7, conrey=3"):
         zeros.count_zeros_family(family, zeros.Rectangle(0.75, 1.0, -0.25, 0.25))
+
+
+def test_locate_family_matches_per_character(monkeypatch):
+    calls = []
+    hardy_z, count_family = zeros.hardy_z, zeros.count_zeros_family
+
+    def recording(chars, t):
+        t = np.atleast_1d(t)
+        calls.append((len(chars), t[0] == rect.t1 and t[-1] == rect.t2))
+        return hardy_z(chars, t)
+
+    monkeypatch.setattr(zeros, "hardy_z", recording)
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    partial = 0
+    for q in (5, 23, 24, 51):
+        family = dirichlet.enumerate_characters(q, primitive_only=True)
+        for spacing in (0.05, 5.0):
+            calls.clear()
+            rows = zeros.locate_zeros_family(family, rect, spacing)
+            # one call per scan and per finder step, whatever the family size
+            assert len(calls) <= zeros._HALVINGS + 1 + zeros._FINDER_CAP, (q, spacing)
+            scans = [k for k, whole_line in calls if whole_line]
+            # a row whose scan matched is not scanned again
+            partial += scans[-1] < scans[0]
+            want = [zeros.locate_zeros(chi, rect, spacing) for chi in family]
+            assert rows == want, (q, spacing)
+    assert partial
+    assert zeros.locate_zeros_family([], rect) == []
+    # a count one row's line cannot account for names that row's character
+    family = dirichlet.enumerate_characters(23, primitive_only=True)
+    bad = family[5]
+
+    def one_more(chars, rect):
+        return [n + (chi is bad) for chi, n in zip(chars, count_family(chars, rect))]
+
+    monkeypatch.setattr(zeros, "count_zeros_family", one_more)
+    want = rf"winding count is \d+ \(q=23, conrey={bad.conrey},"
+    with pytest.raises(CountMismatchError, match=want):
+        zeros.locate_zeros_family(family, rect)
