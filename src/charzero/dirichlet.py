@@ -361,9 +361,11 @@ def _partial_sum(chi: Character, phi: float, x: float) -> PartialSum:
     phi = float(phi)
     table = value_table(chi)
 
+    # multiplied as n^{-i phi} * chi(n) through np.multiply, the order of
+    # multfn.TwistedFunction: a complex product rounds by its operand order
     def values_at(n):
         vals = table[n % chi.q]
-        return vals * np.exp(-1j * phi * np.log(n)) if phi else vals
+        return np.multiply(np.exp(-1j * phi * np.log(n)), vals) if phi else vals
 
     value = _blocked_sum(values_at, int(math.floor(x)))
     N = x / abs(value) if value != 0 else None

@@ -2,8 +2,9 @@
 
 L(s, chi) = q^{-s} sum_{a=1}^{q} chi(a) zeta(s, a/q), with each Hurwitz zeta
 evaluated by Euler-Maclaurin and a certified remainder bound.  The completed
-function xi multiplies in the (q/pi)^((s+a)/2) Gamma((s+a)/2) factor and is
-the object used for argument-principle work.
+function xi multiplies in the (q/pi)^((s+a)/2) Gamma((s+a)/2) factor, with
+log Gamma from scipy.special.loggamma, and is the object used for
+argument-principle work.
 
 One Euler-Maclaurin kernel, _em_sum, gives a row of zeta(s, a/q) per unit a
 mod q.  Those rows depend on q and s but not on chi, so family_values and
@@ -24,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import loggamma
 
 from . import dirichlet, sieve
 from .errors import CoverageError, DomainError, PoleError, WindowError
-from .special import log_gamma
 
 _BERNOULLI_FRAC = {
     2: Fraction(1, 6),
@@ -157,32 +158,26 @@ def _em_tail(s: np.ndarray, xs: np.ndarray, N: np.ndarray, B: int):
 def _em_sum(s: np.ndarray, xs: np.ndarray, N, B: int):
     """((points x shifts) array of zeta(s, x) - 1/(s-1), remainder bound per
     point) for a 1-D array s, past a shift N per point (an array, or one int
-    for every point).  The bound holds for every row contracted against
+    for every point).  Every N must be a positive multiple of 8, as _shift_n
+    gives, so that a layer is either wholly inside a point's main sum or
+    wholly past it.  The bound holds for every row contracted against
     weights of modulus at most 1."""
     N = np.broadcast_to(np.asarray(N, dtype=np.int64), s.shape)
     # largest N first: the points a layer reaches lead the order
     order = np.argsort(-N, kind="stable")
     s, N = s[order], N[order]
     rows, bound = _em_tail(s, xs, N, B)
-    shifts, neg_n = set(N.tolist()), -N
     width = min(len(xs), max(1, _CHUNK // 8))
     step = max(1, _CHUNK // (width * 8))
     for n0 in range(0, int(N[0]) if len(N) else 0, 8):
-        # the layer n0 .. n0 + 7 ends at n1 = min(N, n0 + 8): one run of
-        # points per layer end, longest first (one run when N is a multiple
-        # of 8)
-        lo = 0
-        for n1 in sorted({min(n, n0 + 8) for n in shifts if n > n0}, reverse=True):
-            hi = int(np.searchsorted(neg_n, -n1, side="right"))
-            for u0 in range(0, len(xs), width):
-                lc = -np.log(np.arange(n0, n1) + xs[u0 : u0 + width, None]).ravel()
-                for p in range(lo, hi, step):
-                    e = min(p + step, hi)
-                    terms = np.exp(np.multiply.outer(s[p:e], lc))
-                    rows[p:e, u0 : u0 + width] += terms.reshape(
-                        e - p, -1, n1 - n0
-                    ).sum(axis=-1)
-            lo = hi
+        # the layer n0 .. n0 + 7 covers the first hi points, those with N > n0
+        hi = np.count_nonzero(N > n0)
+        for u0 in range(0, len(xs), width):
+            lc = -np.log(np.arange(n0, n0 + 8) + xs[u0 : u0 + width, None]).ravel()
+            for p in range(0, hi, step):
+                e = min(p + step, hi)
+                terms = np.exp(np.multiply.outer(s[p:e], lc))
+                rows[p:e, u0 : u0 + width] += terms.reshape(e - p, -1, 8).sum(axis=-1)
     back = np.argsort(order)
     return rows[back], bound[back]
 
@@ -296,15 +291,15 @@ def _require_xi(chars) -> None:
 def _complete(chars, s: np.ndarray, lvals: np.ndarray) -> np.ndarray:
     """xi = (q/pi)^((s+a)/2) Gamma((s+a)/2) L, written over lvals row by row."""
     q = chars[0].q
-    # at trivial zeros the Gamma pole meets an L zero; the NaN that inf * 0
-    # produces is caught by the contour code, so keep it quiet
+    # at trivial zeros the Gamma pole meets an L zero; loggamma gives NaN at
+    # the pole and the contour code catches it, so keep it quiet
     with np.errstate(invalid="ignore", over="ignore"):
         pref = {}
         for j, chi in enumerate(chars):
             a = chi.parity
             if a not in pref:
                 z = 0.5 * (s + a)
-                pref[a] = np.exp(z * math.log(q / math.pi) + log_gamma(z))
+                pref[a] = np.exp(z * math.log(q / math.pi) + loggamma(z))
             lvals[j] = pref[a] * lvals[j]
     return lvals
 

@@ -22,7 +22,7 @@ from scipy.special import erfc, erfcinv
 from . import dirichlet
 from .errors import ConvergenceError, DomainError
 from .lfunction import LEvaluator
-from .special import gauss_legendre
+from .special import gauss_legendre_panels
 
 _COMPONENT_TOL = 1e-9
 # values of n per erfc chunk (rounded down to a multiple of q)
@@ -118,7 +118,7 @@ def lhs_quadrature_oracle(case: PlancherelCase, n_max: int, nodes: int = 12) -> 
     total = 0.0 + 0.0j
     for n in range(1, n_max + 1):
         lo, hi = math.log(n), math.log(n + 1)
-        xs, ws = gauss_legendre(nodes, lo, hi)
+        xs, ws = gauss_legendre_panels(lo, hi, 1, nodes)
         total += partial[n - 1] * complex(
             np.sum(ws * np.exp((lam - 1.0) * xs - T * xs * xs / 2.0))
         )

@@ -3,9 +3,10 @@ and the two spectrum constants delta_0, delta_1.
 
 H is entire (removable singularity at 0).  Work goes through
 K(z) = z H(z)/2 = 1/2 - G(z) with G(z) = int_a^1 e^{-zu}/u du, a = e^{-1/2}:
-K has the same zeros away from 0, a closed-form derivative
-K'(z) = (e^{-za} - e^{-z})/z, and G admits three complementary evaluation
-routes (series, panel quadrature, integration-by-parts asymptotics).
+K has the same zeros away from 0 and a closed-form derivative
+K'(z) = (e^{-za} - e^{-z})/z.  G(z) = E1(az) - E1(z) (Abramowitz-Stegun
+5.1.1), with E1 from scipy.special.exp1; near 0, where 1/2 - G cancels, H
+comes from its Taylor series, which also serves as the independent oracle.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1
 
 from . import contour
 from .errors import ContourError, DomainError
@@ -20,7 +22,6 @@ from .special import gauss_legendre_panels
 
 _A = math.exp(-0.5)
 _SERIES_RADIUS = 0.1
-_ASYMP_RADIUS = 60.0
 
 
 def _h_series(z: np.ndarray, terms: int = 40) -> np.ndarray:
@@ -38,47 +39,12 @@ def _h_series(z: np.ndarray, terms: int = 40) -> np.ndarray:
     return 2.0 * out
 
 
-def _g_quadrature(z: np.ndarray) -> np.ndarray:
-    """G(z) by composite Gauss-Legendre, panel count scaled to |Im z|."""
-    z = np.asarray(z, dtype=np.complex128)
-    im_max = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    panels = max(4, int(math.ceil(im_max * (1.0 - _A) / 3.0)) + 2)
-    xs, ws = gauss_legendre_panels(_A, 1.0, panels, nodes=16)
-    return np.exp(-np.multiply.outer(z, xs)) @ (ws / xs)
-
-
-def _g_asymptotic(z: np.ndarray, terms: int = 30) -> np.ndarray:
-    """Integration by parts: G = sum (-1)^{k-1} (k-1)!/z^{k-1} A_k with
-    A_k = e^{-za}/(z a^k) - e^{-z}/z; error beyond 30 terms is below
-    1e-13 once |z| >= 60."""
-    z = np.asarray(z, dtype=np.complex128)
-    ea = np.exp(-z * _A) / z
-    e1 = np.exp(-z) / z
-    out = np.zeros_like(z)
-    pref = np.ones_like(z)
-    apow = _A
-    for k in range(1, terms + 1):
-        out += pref * (ea / apow - e1)
-        pref = pref * (-k / z)
-        apow *= _A
-    return out
-
-
 def _k_values(z) -> np.ndarray:
-    """K(z) = 1/2 - G(z), branch-switched by |z|."""
+    """K(z) = 1/2 - G(z) = 1/2 - (E1(az) - E1(z)).  1/2 - G cancels near 0,
+    so callers keep |z| >= _SERIES_RADIUS: the strip contours have
+    |z| >= pi, and Newton's iterates stay at Im z >= pi - 2."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    out = np.empty_like(z)
-    az = np.abs(z)
-    small = az < _SERIES_RADIUS
-    large = az > _ASYMP_RADIUS
-    mid = ~small & ~large
-    if small.any():
-        out[small] = z[small] * _h_series(z[small]) / 2.0
-    if mid.any():
-        out[mid] = 0.5 - _g_quadrature(z[mid])
-    if large.any():
-        out[large] = 0.5 - _g_asymptotic(z[large])
-    return out
+    return 0.5 - (exp1(_A * z) - exp1(z))
 
 
 def _k_prime(z: complex) -> complex:

@@ -66,7 +66,7 @@ def test_error_bound_honesty():
         a = float(rng.uniform(0.05, 1.0))
         if abs(s - 1) < 0.1:
             continue
-        v1, b1 = _em_hurwitz(s, a, 30, 8)
+        v1, b1 = _em_hurwitz(s, a, 32, 8)
         v2, _ = _em_hurwitz(s, a, 200, 24)
         assert abs(v1 - v2) <= b1 + 1e-11
 
@@ -274,6 +274,28 @@ def test_values_left_half_plane_match_mpmath():
                     )
                 )
                 assert abs(val - ref) <= tol * abs(ref), (q, conrey, pt)
+
+
+def test_gamma_factor_matches_mpmath():
+    # the factor (q/pi)^((s+a)/2) Gamma((s+a)/2) that turns L into xi, read
+    # back as xi / L for every primitive character, over the whole window
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for q in (3, 4, 5, 7, 8, 23, 24, 41, 101):
+            chars = dirichlet.enumerate_characters(q, primitive_only=True)
+            s = rng.uniform(-1, 3, 24) + 1j * rng.uniform(-50, 50, 24)
+            lvals, _ = lfunction.family_values(chars, s)
+            factors = lfunction.family_xi(chars, s) / lvals
+            for parity in {chi.parity for chi in chars}:
+                zs = [(mpmath.mpc(pt.real, pt.imag) + parity) / 2 for pt in s]
+                ref = np.array(
+                    [complex(mpmath.power(q / mpmath.pi, z) * mpmath.gamma(z)) for z in zs]
+                )
+                rows = factors[[chi.parity == parity for chi in chars]]
+                worst = max(worst, float(np.max(np.abs(rows - ref) / np.abs(ref))))
+    assert worst <= 5e-14, worst
 
 
 def test_window_enforced():

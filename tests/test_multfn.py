@@ -106,6 +106,16 @@ def test_block_sums_match_partial_sums_and_cumsum():
     assert rep.mean == np.cumsum(f.values_up_to(x))[int(rep.y)] / rep.y
 
 
+def test_twisted_partial_sum_is_the_twist_block_sum():
+    # a twisted partial sum is the block sum of the twisted character's
+    # values, bit for bit, below and past numpy's 16,384-entry elision size
+    chi = dirichlet.character(7, 3)
+    f = multfn.TwistedFunction(multfn.CharacterFunction(chi), -1.3)
+    for x in (1000, 16383, 16384, 10**5):
+        got = dirichlet.twisted_partial_sum(chi, -1.3, x).value
+        assert got == dirichlet._blocked_sum(f.values_at, x), x
+
+
 def test_distance_hand_value():
     # primes 2, 3, 7 are nonresidues mod 5: term 2/p each; residue primes drop
     got = multfn.distance_sq(ONE, LEG5, 10.0)

@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -41,18 +40,24 @@ def test_h_vector_matches_scalar():
         assert v == pytest.approx(complex(spectral.h_eval(complex(z))), rel=1e-13)
 
 
-def test_branch_seams_agree():
-    # the two integral routes must agree pointwise at each hand-off radius
-    for r in (0.1, 60.0):
-        for theta in (0.3, 1.7, 2.8, -2.1):
-            z = np.array([cmath.rect(r, theta)])
-            if r < 1:
-                a = complex(z[0] * spectral._h_series(z)[0] / 2.0)
-                b = 0.5 - complex(spectral._g_quadrature(z)[0])
-            else:
-                a = 0.5 - complex(spectral._g_quadrature(z)[0])
-                b = 0.5 - complex(spectral._g_asymptotic(z)[0])
-            assert abs(a - b) <= 1e-11 * max(1.0, abs(a))
+def test_h_matches_mpmath_e1_across_strips():
+    # H = (2/z)(1/2 - E1(az) + E1(z)) at 30 digits, over the boxes whose
+    # winding numbers find_h_zeros counts and where its Newton steps land
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    with mpmath.workdps(30):
+        a = mpmath.exp(-0.5)
+        for _ in range(180):
+            k = int(rng.integers(1, 201))
+            re_lo = -math.log(math.pi * k) - 3.0
+            z = complex(
+                rng.uniform(re_lo, 1.0),
+                rng.uniform(2 * math.pi * k - math.pi, 2 * math.pi * k + math.pi),
+            )
+            zm = mpmath.mpc(z.real, z.imag)
+            ref = complex(2 / zm * (0.5 - mpmath.e1(a * zm) + mpmath.e1(zm)))
+            got = spectral.h_eval(z)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref)), (k, z)
 
 
 def test_find_zeros_residuals_and_strips():
