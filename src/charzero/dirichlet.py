@@ -382,6 +382,7 @@ def twisted_partial_sum(chi: Character, phi: float, x: float) -> PartialSum:
     return _partial_sum(chi, phi, x)
 
 
+@lru_cache(maxsize=512)
 def gauss_sum(chi: Character) -> complex:
     """tau(chi) = sum_a chi(a) e(a/q)."""
     q = chi.q

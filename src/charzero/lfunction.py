@@ -12,10 +12,12 @@ family_xi evaluate every character of one modulus from one kernel pass, and
 contract the rows with each character's values.  The evaluator for one
 character, LEvaluator(chi), is the one-character case and has no options:
 `values` gives L with its bounds and `xi_values` gives xi.  The kernel always
-runs Bernoulli terms through B_20, past a shift N that each point sizes for
+runs Bernoulli terms through B_30, past a shift N that each point sizes for
 itself (_shift_n) so that its remainder bound per unit a is at most _TARGET;
 a point's value and bound therefore never depend on the batch it came in.
-Every point is checked against the one fixed window WINDOW:
+The Euler-Maclaurin remainder bound holds at any Bernoulli depth (Johansson,
+Numer. Algorithms 69, 2015), and a deeper tail lets N, and so the main sum,
+shrink.  Every point is checked against the one fixed window WINDOW:
 -1 <= sigma <= 3, |t| <= 50.
 """
 from __future__ import annotations
@@ -49,18 +51,20 @@ _BERNOULLI_FRAC = {
     32: Fraction(-7709321041217, 510),
 }
 
-# B_{2j} / (2j)! as floats, the only form the numerics need
+# B_{2j} / (2j)! as floats, the only form the numerics need, by index 2j
+# and as the array of the tail's coefficients j = 1, 2, ...
 _BERN_OVER_FACT = {
     k: float(v) / math.factorial(k) for k, v in _BERNOULLI_FRAC.items()
 }
+_BERN_COEF = np.array([_BERN_OVER_FACT[k] for k in sorted(_BERN_OVER_FACT)])
 
 
 # no kernel temporary holds more than this many complex entries (512 KB)
 _CHUNK = 1 << 15
 
 
-# Euler-Maclaurin depth: the tail series runs through B_20
-_BERNOULLI = 20
+# Euler-Maclaurin depth: the tail series runs through B_30
+_BERNOULLI = 30
 
 # remainder bound per unit a that each point's shift N is sized for
 _TARGET = 1e-20
@@ -69,14 +73,14 @@ _TARGET = 1e-20
 def _shift_n(s) -> np.ndarray:
     """Euler-Maclaurin shift N for each point of s: the least multiple of 8,
     at least 8, at which the per-unit remainder bound
-    |B_22/22!| |(s)_22| N^-(sigma+21) / (sigma+21) is at most _TARGET.
+    |B_32/32!| |(s)_32| N^-(sigma+31) / (sigma+31) is at most _TARGET.
 
     _em_tail bounds each unit past N + x > N, so its bound per unit stays
     below _TARGET.  The rule reads the point alone.
     """
     s = np.asarray(s, dtype=np.complex128)
     d = s.real + _BERNOULLI + 1
-    # (s)_22 vanishes at s = 0 and -1; a point with d <= 0 gets no valid N,
+    # (s)_32 vanishes at s = 0 and -1; a point with d <= 0 gets no valid N,
     # and _em_tail rejects it
     with np.errstate(divide="ignore", invalid="ignore"):
         log_poch = np.log(np.abs(s[..., None] + np.arange(_BERNOULLI + 2))).sum(-1)
@@ -88,33 +92,21 @@ def _shift_n(s) -> np.ndarray:
         return 8 * np.maximum(1, np.ceil(np.exp(log_n) / 8)).astype(np.int64)
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z, stable near z = 0."""
-    z = np.asarray(z, dtype=np.complex128)
-    out = np.ones_like(z)
-    small = np.abs(z) < 0.25
-    zs = z[small]
-    acc = np.zeros_like(zs)
-    for k in range(13, 0, -1):
-        acc = (acc + 1.0) * zs / (k + 1)
-    out[small] = 1.0 + acc
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0) / zb
-    return out
-
-
 # The Euler-Maclaurin kernel.  For a 1-D array of points s, a shift N per
 # point and shifts 0 < x <= 1 it gives one row per shift,
 #     zeta(s, x) - 1/(s - 1)
 #   = sum_{n<N} (n + x)^-s                                 (main sum)
 #   + ((N + x)^(1-s) - 1)/(s - 1) + (N + x)^-s / 2
 #   + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-s-2j)         (tail)
-# as a (points x shifts) array.  _em_tail forms the last two lines and
-# _em_sum, the kernel's one entry point, adds the main sum to them in layers
-# of 8 terms, n = 8k .. 8k + 7; a layer covers only the points whose N
-# reaches it.  Every temporary is cut to at most _CHUNK entries.  Each point
-# adds its layers to its tail in order of k, and sums along its own entries,
-# never across points, so its value does not depend on the batch it came in.
+# as a (points x shifts) array.  _em_tail forms the last two lines: the
+# bracket from complex expm1 (its limit -log(N + x) at s = 1), and the
+# Bernoulli sum by Horner's rule in (N + x)^-2 from per-point coefficients,
+# one cumulative product of s + k giving every Pochhammer symbol.  _em_sum,
+# the kernel's one entry point, adds the main sum to them in layers of 8
+# terms, n = 8k .. 8k + 7; a layer covers only the points whose N reaches it.
+# Every temporary is cut to at most _CHUNK entries.  Each point adds its
+# layers to its tail in order of k, and sums along its own entries, never
+# across points, so its value does not depend on the batch it came in.
 
 
 def _em_tail(s: np.ndarray, xs: np.ndarray, N: np.ndarray, B: int):
@@ -122,36 +114,37 @@ def _em_tail(s: np.ndarray, xs: np.ndarray, N: np.ndarray, B: int):
     point's remainder bound summed over the shifts.
 
     N holds one shift per point.  Valid whenever Re s + B + 1 > 0.  s comes
-    from _contract in blocks of max(1, _CHUNK // len(xs)) points.
+    in blocks of at most _CHUNK // max(len(xs), B + 2) points, so that the
+    (points x shifts) arrays and the table of B + 2 Pochhammer products per
+    point each stay within _CHUNK entries.
     """
     denom = s.real + B + 1
     if np.any(denom <= 0):
         raise DomainError("Re s too far left for this Bernoulli depth")
     sc = s[:, None]
     lw = np.log(N[:, None] + xs)
-    # sum over the shifts of (N + x)^-(sigma+B+1), for the bound below
-    per_unit = np.sum(np.exp(-denom[:, None] * lw), axis=1)
-    # ((N + x)^(1-s) - 1)/(s - 1), continued through s = 1
-    rows = -lw * _phi1((1.0 - sc) * lw)
+    w = 1.0 / (N[:, None] + xs)
     ws = np.exp(-sc * lw)
-    # 1/2 + sum_j B_2j/(2j)! (s)_{2j-1} (N + x)^(1-2j)
-    series = np.full(ws.shape, 0.5, dtype=np.complex128)
-    pw = 1.0 / (N[:, None] + xs)
-    inv_sq = pw * pw
-    poch = sc
-    for j in range(1, B // 2 + 1):
-        series += (_BERN_OVER_FACT[2 * j] * poch) * pw
-        pw = pw * inv_sq
-        poch = poch * (sc + (2 * j - 1)) * (sc + 2 * j)
+    # ((N + x)^(1-s) - 1)/(s - 1), and its limit -log(N + x) at s = 1
+    rows = np.asarray(-lw, dtype=np.complex128)
+    np.divide(np.expm1((1.0 - sc) * lw), sc - 1.0, out=rows, where=sc != 1.0)
+    # poch[:, k] = (s)_{k+1}; the tail's coefficient j is B_2j/(2j)! (s)_{2j-1}
+    poch = np.cumprod(sc + np.arange(B + 2), axis=1)
+    coef = _BERN_COEF[: B // 2] * poch[:, 0:B:2]
+    # 1/2 + sum_j coef_j w^(2j-1), by Horner's rule in w^2, in place (a
+    # product with the real w rounds the same in either operand order)
+    w2 = w * w
+    series = np.zeros(ws.shape, dtype=np.complex128)
+    for j in range(B // 2 - 1, -1, -1):
+        series *= w2
+        series += coef[:, j : j + 1]
+    series *= w
+    series += 0.5
     rows += ws * series
-    # poch is now (s)_{B+1}; the remainder is
-    # |B_{B+2}/(B+2)!| |(s)_{B+2}| (N + x)^-(sigma+B+1) / (sigma+B+1)
-    bound = (
-        abs(_BERN_OVER_FACT[B + 2])
-        * np.abs(poch[:, 0] * (sc[:, 0] + B + 1))
-        * per_unit
-        / denom
-    )
+    # the remainder is |B_{B+2}/(B+2)!| |(s)_{B+2}| (N + x)^-(sigma+B+1) /
+    # (sigma+B+1) per shift, and |(N + x)^-s| = (N + x)^-sigma
+    per_unit = np.sum(np.abs(ws) * w ** (B + 1), axis=1)
+    bound = abs(_BERN_OVER_FACT[B + 2]) * np.abs(poch[:, B + 1]) * per_unit / denom
     return rows, bound
 
 
@@ -233,27 +226,31 @@ def _character_table(chars) -> tuple[np.ndarray, np.ndarray]:
     return units / q, np.array([dirichlet.value_table(chi)[units] for chi in chars])
 
 
-def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray):
+def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, pick=None):
     """((k x points) L values, bound per point) at a window-checked 1-D s.
 
     The kernel rows are built once for all k characters, a block of points
     at a time, and each character's row is contracted with its table row by
     a per-point sum in a fixed order: a value does not depend on which other
-    characters or points share the call.
+    characters or points share the call.  Given `pick`, one index per point
+    into the nonprincipal chars, point i is contracted with chars[pick[i]]
+    alone and the values come back as one row, (1 x points).
     """
     principal = np.array([chi.is_principal for chi in chars])
     if principal.any() and np.any(s == 1.0):
         raise PoleError("principal character: L has a pole at s = 1")
     q = chars[0].q
-    N = _shift_n(s)
-    vals = np.empty((len(chars), len(s)), dtype=np.complex128)
+    vals = np.empty((len(chars) if pick is None else 1, len(s)), dtype=np.complex128)
     bounds = np.empty(len(s))
-    step = max(1, _CHUNK // len(xs))
+    # a block's kernel rows and its tail's table of _BERNOULLI + 2
+    # Pochhammer products per point each fit in _CHUNK entries
+    step = max(1, _CHUNK // max(len(xs), _BERNOULLI + 2))
     for lo in range(0, len(s), step):
-        rows, bounds[lo : lo + step] = _em_sum(
-            s[lo : lo + step], xs, N[lo : lo + step], _BERNOULLI
-        )
-        for j, weights in enumerate(table):
+        blk = s[lo : lo + step]
+        rows, bounds[lo : lo + step] = _em_sum(blk, xs, _shift_n(blk), _BERNOULLI)
+        # with pick, one row: each point's own table row, gathered
+        tables = table if pick is None else [table[pick[lo : lo + step]]]
+        for j, weights in enumerate(tables):
             vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
         del rows  # free this block's rows before the next block's kernel
     if principal.any():
@@ -262,7 +259,7 @@ def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray):
         # row by row and never in place: numpy's in-place complex product
         # rounds differently for long and short arrays
         qfac = np.exp(-s * math.log(q))
-        for j in range(len(chars)):
+        for j in range(len(vals)):
             vals[j] = qfac * vals[j]
         bounds *= np.abs(qfac)
     return vals, bounds
@@ -288,20 +285,15 @@ def _require_xi(chars) -> None:
         raise DomainError("xi is defined for primitive nonprincipal characters")
 
 
-def _complete(chars, s: np.ndarray, lvals: np.ndarray) -> np.ndarray:
-    """xi = (q/pi)^((s+a)/2) Gamma((s+a)/2) L, written over lvals row by row."""
-    q = chars[0].q
-    # at trivial zeros the Gamma pole meets an L zero; loggamma gives NaN at
-    # the pole and the contour code catches it, so keep it quiet
-    with np.errstate(invalid="ignore", over="ignore"):
-        pref = {}
-        for j, chi in enumerate(chars):
-            a = chi.parity
-            if a not in pref:
-                z = 0.5 * (s + a)
-                pref[a] = np.exp(z * math.log(q / math.pi) + loggamma(z))
-            lvals[j] = pref[a] * lvals[j]
-    return lvals
+def _gamma_factor(q: int, a: int, s: np.ndarray) -> np.ndarray:
+    """(q/pi)^((s+a)/2) Gamma((s+a)/2), point by point.
+
+    At trivial zeros the Gamma pole meets an L zero; loggamma gives NaN at
+    the pole and the contour code catches it, so callers form the factor
+    and its product with L under np.errstate(invalid=..., over="ignore").
+    """
+    z = 0.5 * (s + a)
+    return np.exp(z * math.log(q / math.pi) + loggamma(z))
 
 
 def family_xi(chars, s) -> np.ndarray:
@@ -311,7 +303,30 @@ def family_xi(chars, s) -> np.ndarray:
     _require_xi(chars)
     s = np.asarray(s, dtype=np.complex128).ravel()
     lvals, _ = family_values(chars, s)
-    return _complete(chars, s, lvals)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pref = {a: _gamma_factor(chars[0].q, a, s) for a in {c.parity for c in chars}}
+        for j, chi in enumerate(chars):
+            lvals[j] = pref[chi.parity] * lvals[j]
+    return lvals
+
+
+def _paired_xi(chars, pick, s) -> np.ndarray:
+    """xi of chars[pick[i]] at s[i] for each point i, equal bit for bit to
+    family_xi(chars, s)[pick[i], i], with each point contracted with its
+    own character's table alone."""
+    chars = list(chars)
+    _require_xi(chars)
+    s = np.asarray(s, dtype=np.complex128).ravel()
+    WINDOW.validate(s)
+    xs, table = _character_table(chars)
+    lvals, _ = _contract(chars, xs, table, s, pick)
+    parity = np.array([chi.parity for chi in chars])[pick]
+    pref = np.empty_like(s)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in set(parity.tolist()):
+            on = parity == a
+            pref[on] = _gamma_factor(chars[0].q, a, s[on])
+        return pref * lvals[0]
 
 
 class LEvaluator:

@@ -138,7 +138,11 @@ class TwistedFunction(CompletelyMultiplicativeFunction):
     # complex product rounds by its operand order, and with `*` numpy's
     # temporary elision swaps the operands of arrays past 16,384 entries
     def values_at(self, n):
-        return np.multiply(np.exp(-1j * self.phi * np.log(n)), self.base.values_at(n))
+        return self.values_from(n, self.base.values_at(n))
+
+    def values_from(self, n, base_values):
+        """f_phi(n) from n and the base's values f(n)."""
+        return np.multiply(np.exp(-1j * self.phi * np.log(n)), base_values)
 
     def prime_values(self, primes):
         lp = np.log(np.asarray(primes, dtype=np.float64))
@@ -465,9 +469,20 @@ def slow_variation_probe(f, x, z) -> SlowVariationReport:
     data = find_phi_and_M(f, x)
     phi = data.phi
     f_phi = TwistedFunction(f, phi)
-    mean_f_x = mean_value(f, x)
-    mean_fphi_x = mean_value(f_phi, x)
-    mean_fphi_z = mean_value(f_phi, z)
+    m, mz = f._check_range(x), f._check_range(z)
+    # one blocked pass takes f and f_phi from the same values of f; each of
+    # the three sums keeps dirichlet._blocked_sum's order, so each mean
+    # equals mean_value's bit for bit
+    parts = ([], [], [])  # block sums of f to x, of f_phi to x and to z
+    for n in dirichlet._blocks(max(m, mz)):
+        vals = f.values_at(n)
+        twisted = f_phi.values_from(n, vals)
+        for part, v, end in zip(parts, (vals, twisted, twisted), (m, m, mz)):
+            if n[0] <= end:
+                part.append(np.sum(v[: end - n[0] + 1]))
+    mean_f_x, mean_fphi_x, mean_fphi_z = (
+        complex(np.sum(np.array(p))) / d for p, d in zip(parts, (x, x, z))
+    )
     rotate = x ** (1j * phi) / (1.0 + 1j * phi)
     hal2 = abs(mean_f_x - rotate * mean_fphi_x)
     hal3 = abs(mean_fphi_x - mean_fphi_z)

@@ -29,7 +29,14 @@ from .errors import (
     CoverageError,
     DomainError,
 )
-from .lfunction import WINDOW, LEvaluator, _density_tail, family_values, family_xi
+from .lfunction import (
+    WINDOW,
+    LEvaluator,
+    _density_tail,
+    _paired_xi,
+    family_values,
+    family_xi,
+)
 
 _PERTURB = 1.37e-4
 # a line scan whose sign changes miss the winding count is repeated at half
@@ -174,22 +181,29 @@ def hardy_z(chars, t):
     the complex values are returned so that their rounding can be checked.
     """
     chars = list(chars)
-    root_eps = np.sqrt(
+    s = 0.5 + 1j * np.asarray(t, dtype=np.float64)
+    return family_xi(chars, s) / _root_eps(chars)[:, None]
+
+
+def _root_eps(chars) -> np.ndarray:
+    """eps^(1/2) of each character, eps = tau(chi) / (i^a sqrt q)."""
+    return np.sqrt(
         [dirichlet.gauss_sum(chi) / (1j**chi.parity * math.sqrt(chi.q)) for chi in chars]
     )
-    s = 0.5 + 1j * np.asarray(t, dtype=np.float64)
-    return family_xi(chars, s) / root_eps[:, None]
 
 
 def _refine_on_line(chars, rows, a, b, za, zb):
     """Roots of the real Z in the brackets [a_i, b_i] of chars[rows_i], za and
     zb of opposite signs (float arrays, updated in place), by the Illinois
-    method: one hardy_z call per step serves every bracket.
+    method.  One kernel pass per step serves every bracket, and each bracket's
+    point is contracted with its own character alone (lfunction._paired_xi);
+    Z there equals hardy_z's value bit for bit.
 
     A bracket stops once it is at most _GAMMA_TOL wide or Z vanishes at its
     new point; each root is the end with the smaller |Z|.
     """
     kept = np.zeros(len(a), dtype=int)  # end kept last step: -1 a, +1 b, 0 none
+    root_eps = _root_eps(chars)
     for _ in range(_FINDER_CAP):
         live = np.nonzero(b - a > _GAMMA_TOL)[0]
         if not live.size:
@@ -199,7 +213,8 @@ def _refine_on_line(chars, rows, a, b, za, zb):
         # step at least half the tolerance in from each end, so a root sitting
         # at an end closes its bracket on the next step
         c = np.clip(c, al + 0.5 * _GAMMA_TOL, bl - 0.5 * _GAMMA_TOL)
-        zc = hardy_z(chars, c).real[rows[live], np.arange(live.size)]
+        pick = rows[live]
+        zc = (_paired_xi(chars, pick, 0.5 + 1j * c) / root_eps[pick]).real
         hit = zc == 0
         a[live[hit]] = b[live[hit]] = c[hit]
         # replace the end whose sign zc shares; halve the other end's value

@@ -84,3 +84,43 @@ def test_refinement_evaluates_each_point_once():
     assert len(seen) > 8 * edges
     # the corners are shared by consecutive edges; nothing else repeats
     assert len(seen) - len(set(seen)) == edges
+
+
+def test_first_edge_reason_wins():
+    # the first edge starts on a zero and a later edge ends on a pole: the
+    # error names the first edge's reason, for one function and for a row
+    def f(z):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return z / (z - (1 + 1j))
+
+    path = [0j, 1 + 0j, 1 + 1j]
+    with pytest.raises(ContourError, match="passes through a zero"):
+        arg_change(f, path)
+    stacked = lambda z: np.array([f(z), z - 5])
+    turns = arg_change(stacked, path)
+    assert np.isnan(turns[0]) and np.isfinite(turns[1])
+
+
+def test_one_call_per_refinement_round():
+    sizes = []
+
+    def counted(f):
+        def g(z):
+            sizes.append(len(z))
+            return f(z)
+
+        return g
+
+    # z - 5 needs no refinement at 20 points per unit: one call holds the
+    # 44-point first mesh of all four edges
+    for f in (lambda z: z - 5, lambda z: np.array([z - 5, np.exp(z)])):
+        sizes.clear()
+        winding_number(counted(f), SQUARE)
+        assert sizes == [4 * 44]
+    # z^8 at 2 points per unit: each edge's 8-point mesh steps by up to
+    # 2.27 in arg, so all 7 gaps of every edge are split in the first round
+    # and the steps fall below pi/4 after the second: three calls in all
+    for f, count in ((lambda z: z**8, 8), (lambda z: np.array([z**8, z - 5]), [8, 0])):
+        sizes.clear()
+        assert winding_number(counted(f), SQUARE, points_per_unit=2.0) == count
+        assert len(sizes) == 3 and sizes[:2] == [4 * 8, 4 * 7]

@@ -276,6 +276,47 @@ def test_values_left_half_plane_match_mpmath():
                 assert abs(val - ref) <= tol * abs(ref), (q, conrey, pt)
 
 
+def test_values_near_one_and_left_edge_match_mpmath():
+    # near s = 1 the tail's ((N + x)^(1-s) - 1)/(s - 1) comes from expm1,
+    # and at s = 1 from its limit -log(N + x); sigma = -1 is the window's
+    # edge.  The reference sums chi(a) (zeta(s, a/q) - 1/(s - 1)), and
+    # -digamma(a/q) at s = 1, so the float table's sum, 1e-16 off 0, adds
+    # no pole term
+    mpmath = pytest.importorskip("mpmath")
+
+    def reference(chi, pt):
+        table = dirichlet.value_table(chi)
+        with mpmath.workdps(30):
+            sm = mpmath.mpc(pt.real, pt.imag)
+            total = mpmath.fsum(
+                mpmath.mpc(table[a].real, table[a].imag)
+                * (
+                    -mpmath.digamma(mpmath.mpf(a) / chi.q)
+                    if pt == 1
+                    else mpmath.zeta(sm, mpmath.mpf(a) / chi.q) - 1 / (sm - 1)
+                )
+                for a in range(1, chi.q)
+                if table[a] != 0
+            )
+            return complex(mpmath.power(chi.q, -sm) * total)
+
+    near_one = np.array([1, 1 + 1e-9, 1 - 1e-9j, 1 + 5e-10 - 7e-10j, 1 - 1e-10])
+    left = np.array([-1, -1 + 0.5j, -1 - 2.7j, -0.99, -0.99 + 1.3j, -0.99 - 0.05j])
+    # the tolerances of the two oracle tests above; L(-1) = 0 for odd chi
+    for (q, conrey), pts, tol in (
+        ((4, 3), near_one, 1e-11),
+        ((7, 3), near_one, 1e-11),
+        ((23, 5), near_one, 1e-11),
+        ((7, 5), left, 2.9e-13),
+        ((23, 5), left, 8.5e-12),
+    ):
+        chi = dirichlet.character(q, conrey)
+        vals, _ = lfunction.LEvaluator(chi).values(pts)
+        for pt, val in zip(pts, vals):
+            ref = reference(chi, pt)
+            assert abs(val - ref) <= tol * max(1, abs(ref)), (q, conrey, pt)
+
+
 def test_gamma_factor_matches_mpmath():
     # the factor (q/pi)^((s+a)/2) Gamma((s+a)/2) that turns L into xi, read
     # back as xi / L for every primitive character, over the whole window
