@@ -13,15 +13,15 @@ residual beyond the stated tails is an implementation bug.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+from scipy.special import erfc
 
-from . import dirichlet
+from . import dirichlet, lfunction, sieve
 from .errors import ConvergenceError, DomainError
-from .lfunction import LEvaluator
 from .special import gauss_legendre_panels
 
 _COMPONENT_TOL = 1e-9
@@ -45,12 +45,49 @@ class PlancherelCase:
             raise DomainError("T must be positive")
 
 
-def required_n_max(lam: float, T: float, tol: float = _COMPONENT_TOL) -> int:
-    """Smallest N with pi e^{lam^2/(2T)} erfc(sqrt(T/2)(log N - lam/T)) < tol."""
-    target = tol / (math.pi * math.exp(lam * lam / (2.0 * T)))
-    z = float(erfcinv(min(target, 1.0)))
-    log_n = lam / T + z / math.sqrt(T / 2.0)
-    return max(2, int(math.ceil(math.exp(log_n))))
+@functools.lru_cache(maxsize=64)
+def _chi_sum_bound(q: int) -> float:
+    """phi(q)/2, a bound on |sum of chi(n) over any run of consecutive n| for
+    every nonprincipal chi mod q: a run and the rest of its periods sum to
+    minus each other, and one of the two holds at most phi(q)/2 units."""
+    return sieve.euler_phi(q) / 2.0
+
+
+def _lhs_tail(q: int, phi: float, lam: float, T: float, n_max: int) -> float:
+    """Bound on the left side's terms with n > n_max, for nonprincipal chi mod q:
+    pi e^{(lam-1)^2/(2T)} times the bound below on the erfc sum they form.
+
+    With E(u) = erfc(c (u - d)), c = sqrt(T/2), d = (lam - 1)/T, partial
+    summation against the partial sums of chi (at most phi(q)/2 in modulus)
+    bounds |sum_{n > N} chi(n) n^{-i phi} E(log n)| by
+    (phi(q)/2) (E(log N) + |phi| int_{log N}^inf E(u) du), and for
+    z = c (log N - d) > 0 that integral is ierfc(z)/c <= e^{-z^2}/(2 z^2 sqrt(pi) c).
+    """
+    c = math.sqrt(T / 2.0)
+    z = c * (math.log(n_max) - (lam - 1.0) / T)
+    rest = math.erfc(z) + abs(phi) * math.exp(-z * z) / (2.0 * z * z * math.sqrt(math.pi) * c)
+    return math.pi * math.exp((lam - 1.0) ** 2 / (2.0 * T)) * _chi_sum_bound(q) * rest
+
+
+def required_n_max(q: int, phi: float, lam: float, T: float, tol: float = _COMPONENT_TOL) -> int:
+    """Least N with
+    pi e^{(lam-1)^2/(2T)} (phi(q)/2) (erfc(z) + |phi| e^{-z^2}/(2 z^2 sqrt(pi) c)) < tol,
+    where c = sqrt(T/2) and z = c (log N - (lam - 1)/T): `_lhs_tail`'s bound on
+    the left side's terms n > N, for any nonprincipal character mod q.
+
+    The bound falls as N grows, so N is found by doubling, then bisection.
+    """
+    lo, hi = 0, 1
+    while _lhs_tail(q, phi, lam, T, hi) >= tol:
+        lo, hi = hi, 2 * hi
+    # the bound is below tol at hi and not at lo (or lo = 0 is untested)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _lhs_tail(q, phi, lam, T, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _erfc_class_sums(q: int, phi: float, lam_Ts, tol: float):
@@ -61,7 +98,7 @@ def _erfc_class_sums(q: int, phi: float, lam_Ts, tol: float):
     reshape.  A case's last chunk is zero-padded to whole rows, so its sums do
     not depend on the other cases in lam_Ts.
     """
-    n_maxes = [required_n_max(lam, T, tol) for lam, T in lam_Ts]
+    n_maxes = [required_n_max(q, phi, lam, T, tol) for lam, T in lam_Ts]
     sums = np.zeros((len(lam_Ts), q), dtype=np.complex128)
     step = _CHUNK // q * q
     twist = np.empty(step, dtype=np.complex128)
@@ -91,10 +128,7 @@ def _lhs_from_sums(case: PlancherelCase, class_sums: np.ndarray, n_max: int):
     lam, T = case.lam, case.T
     total = complex(dirichlet.value_table(case.chi) @ class_sums)
     value = math.pi * math.exp((lam - 1.0) ** 2 / (2.0 * T)) * total
-    tail = math.pi * math.exp(lam * lam / (2.0 * T)) * float(
-        erfc(math.sqrt(T / 2.0) * (math.log(n_max) - lam / T))
-    )
-    return value, tail, n_max
+    return value, _lhs_tail(case.chi.q, case.phi, lam, T, n_max), n_max
 
 
 def lhs_gaussian_sum(case: PlancherelCase, tol: float = _COMPONENT_TOL):
@@ -102,7 +136,10 @@ def lhs_gaussian_sum(case: PlancherelCase, tol: float = _COMPONENT_TOL):
 
     Completing the square with b = lam - 1 turns each n-integral into
     e^{b^2/(2T)} sqrt(pi/(2T)) erfc(sqrt(T/2)(log n - b/T)); all erfc
-    arguments are real.
+    arguments are real.  The sum stops at n_max = required_n_max(q, phi, lam,
+    T, tol), and tail_bound (below tol) bounds the terms past it by partial
+    summation against chi's partial sums, which a nonprincipal chi mod q
+    keeps within phi(q)/2 (see `_lhs_tail`).
     """
     sums, (n_max,) = _erfc_class_sums(case.chi.q, case.phi, [(case.lam, case.T)], tol)
     return _lhs_from_sums(case, sums[0], n_max)
@@ -125,50 +162,84 @@ def lhs_quadrature_oracle(case: PlancherelCase, n_max: int, nodes: int = 12) -> 
     return math.sqrt(2.0 * math.pi * T) * total
 
 
-def rhs_L_integral(case: PlancherelCase, tol: float = _COMPONENT_TOL):
-    """(value, tail_bound, xi_max, intervals): the trapezoid rule on the
-    L-line, doubling from 64 intervals until two estimates agree to tol.  It
-    converges exponentially for this analytic, Gaussian-weighted integrand
-    (Trefethen & Weideman, SIAM Review 56, 2014).
+def _rhs_tail(q: int, phi: float, lam: float, T: float, xi_max: float) -> float:
+    """Bound on the right side's integral over |xi| > xi_max, for nonprincipal
+    chi mod q.
 
-    Raises ConvergenceError if 12 doublings (262 144 intervals) do not get there.
+    With sigma = 1 - lam and s = sigma + i(phi + xi), partial summation past
+    n = q against the partial sums of chi (at most phi(q)/2 in modulus) gives
+    |L(s, chi)| <= sum_{n <= q, (n, q) = 1} n^{-sigma} + (phi(q)/2) |s| q^{-sigma}/sigma,
+    and |s| <= sigma + |phi| + |xi|, so |L| <= A + B |xi|.  As
+    1/|sigma + i xi| <= 1/|xi|, each of the two sides xi > X and xi < -X,
+    X = xi_max, adds at most (A/X + B) sqrt(pi T/2) erfc(X/sqrt(2T)).
     """
-    lam, T, phi = case.lam, case.T, case.phi
-    ev = LEvaluator(case.chi)
+    sigma = 1.0 - lam
+    B = _chi_sum_bound(q) * q**-sigma / sigma
+    A = sum(n**-sigma for n in range(1, q + 1) if math.gcd(n, q) == 1) + B * (sigma + abs(phi))
+    side = (A / xi_max + B) * math.sqrt(math.pi * T / 2.0) * math.erfc(xi_max / math.sqrt(2.0 * T))
+    return 2.0 * side
+
+
+def _rhs_family(chars, phi: float, lam: float, T: float, tol: float) -> list:
+    """rhs_L_integral's (value, tail_bound, xi_max, intervals) for each of k
+    nonprincipal characters of one modulus, from one trapezoid loop.
+
+    Every character's trapezoid uses the same points, so each round makes one
+    family_values call for the characters still running.  Each keeps its own
+    sum and stop test and drops out once it has converged; its L values, and
+    so its result, do not depend on which characters share a call.
+    """
     xi_max = 10.0 * math.sqrt(T)
+    tail = _rhs_tail(chars[0].q, phi, lam, T, xi_max)
 
-    max_abs_l = 0.0
-
-    def integrand(xs: np.ndarray) -> np.ndarray:
-        nonlocal max_abs_l
-        s = (1.0 - lam) + 1j * (phi + xs)
-        lv, _ = ev.values(s)
-        lv = np.atleast_1d(lv)
-        max_abs_l = max(max_abs_l, float(np.max(np.abs(lv))))
-        return lv / ((1.0 - lam) + 1j * xs) * np.exp(-xs * xs / (2.0 * T))
+    def integrand(active, xs: np.ndarray) -> list:
+        lv, _ = lfunction.family_values([chars[j] for j in active], (1.0 - lam) + 1j * (phi + xs))
+        denom, gauss = (1.0 - lam) + 1j * xs, np.exp(-xs * xs / (2.0 * T))
+        # one character's row at a time, as a 1-D array
+        return [row / denom * gauss for row in lv]
 
     n = 64
-    fx = integrand(np.linspace(-xi_max, xi_max, n + 1))
-    # the trapezoid sum: interior points in full, the two ends halved
-    total = complex(fx.sum() - 0.5 * (fx[0] + fx[-1]))
+    # the trapezoid sums: interior points in full, the two ends halved
+    totals = [
+        complex(fx.sum() - 0.5 * (fx[0] + fx[-1]))
+        for fx in integrand(range(len(chars)), np.linspace(-xi_max, xi_max, n + 1))
+    ]
     h = 2.0 * xi_max / n
-    est = h * total
+    ests = [h * total for total in totals]
+    done = [None] * len(chars)
+    active = list(range(len(chars)))
     for _ in range(12):
         # the new points are the midpoints of the current intervals
-        total += complex(integrand(-xi_max + h * (np.arange(n) + 0.5)).sum())
+        fxs = integrand(active, -xi_max + h * (np.arange(n) + 0.5))
         n, h = 2 * n, h / 2.0
-        prev, est = est, h * total
-        if abs(est - prev) < tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"L-line trapezoid did not reach tol {tol} in {n} intervals "
-            f"(q={case.chi.q}, conrey={case.chi.conrey}, phi={phi}, lam={lam}, T={T})"
-        )
-    tail = max_abs_l * (2.0 / xi_max) * math.sqrt(math.pi * T / 2.0) * float(
-        erfc(xi_max / math.sqrt(2.0 * T))
+        for j, fx in zip(active, fxs):
+            totals[j] += complex(fx.sum())
+            prev, ests[j] = ests[j], h * totals[j]
+            if abs(ests[j] - prev) < tol:
+                done[j] = (ests[j], tail, xi_max, n)
+        active = [j for j in active if done[j] is None]
+        if not active:
+            return done
+    chi = chars[active[0]]
+    raise ConvergenceError(
+        f"L-line trapezoid did not reach tol {tol} in {n} intervals "
+        f"(q={chi.q}, conrey={chi.conrey}, phi={phi}, lam={lam}, T={T})"
     )
-    return est, tail, xi_max, n
+
+
+def rhs_L_integral(case: PlancherelCase, tol: float = _COMPONENT_TOL):
+    """(value, tail_bound, xi_max, intervals): the trapezoid rule on the
+    L-line |xi| <= xi_max = 10 sqrt(T), doubling from 64 intervals until two
+    estimates agree to tol.  It converges exponentially for this analytic,
+    Gaussian-weighted integrand (Trefethen & Weideman, SIAM Review 56, 2014).
+    tail_bound bounds the integral over |xi| > xi_max (see `_rhs_tail`); it
+    does not cover the trapezoid's own error, which the stop test watches.
+
+    The one-character case of the loop run_grid runs for every character of
+    a modulus at once.  Raises ConvergenceError if 12 doublings (262 144
+    intervals) do not get there.
+    """
+    return _rhs_family([case.chi], case.phi, case.lam, case.T, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -187,8 +258,10 @@ class CaseResult:
     rhs_tail: float
 
 
-def _case_result(case: PlancherelCase, lhs: complex, lhs_tail: float, n_max: int) -> CaseResult:
-    rhs, rhs_tail, xi_max, _ = rhs_L_integral(case)
+def _case_result(case: PlancherelCase, lhs_parts: tuple, rhs_parts: tuple) -> CaseResult:
+    """The row of one case from its lhs_gaussian_sum and rhs_L_integral tuples."""
+    lhs, lhs_tail, n_max = lhs_parts
+    rhs, rhs_tail, xi_max, _ = rhs_parts
     return CaseResult(
         q=case.chi.q,
         conrey=case.chi.conrey,
@@ -206,7 +279,7 @@ def _case_result(case: PlancherelCase, lhs: complex, lhs_tail: float, n_max: int
 
 
 def verify_case(case: PlancherelCase) -> CaseResult:
-    return _case_result(case, *lhs_gaussian_sum(case))
+    return _case_result(case, lhs_gaussian_sum(case), rhs_L_integral(case))
 
 
 GRID_MODULI = (3, 4, 5, 7, 8, 11)
@@ -220,20 +293,28 @@ def run_grid(moduli=GRID_MODULI, lams=GRID_LAMS, Ts=GRID_TS, phis=GRID_PHIS) -> 
 
     The erfc sums by residue class are computed once per (q, phi) for every
     (lam, T), streamed in chunks of n, and contracted with each character's
-    value table, the same path `lhs_gaussian_sum` takes for one case.
+    value table, the same path `lhs_gaussian_sum` takes for one case.  One
+    L-line trapezoid per (q, phi, lam, T) serves every character of q, the
+    loop `rhs_L_integral` runs for one.  Rows equal verify_case's, bit for bit.
     """
     lam_Ts = [(lam, T) for T in Ts for lam in lams]
     results = []
     for q in moduli:
-        by_phi = {}
-        for chi in dirichlet.enumerate_characters(q, primitive_only=True):
-            if chi.is_principal:
-                continue
-            for phi in phis:
-                if phi not in by_phi:
-                    by_phi[phi] = _erfc_class_sums(q, phi, lam_Ts, _COMPONENT_TOL)
-                sums, n_maxes = by_phi[phi]
-                for (lam, T), class_sums, n_max in zip(lam_Ts, sums, n_maxes):
-                    case = PlancherelCase(chi, phi, lam, T)
-                    results.append(_case_result(case, *_lhs_from_sums(case, class_sums, n_max)))
+        chars = [
+            chi
+            for chi in dirichlet.enumerate_characters(q, primitive_only=True)
+            if not chi.is_principal
+        ]
+        if not chars:
+            continue
+        rows = {}
+        for phi in phis:
+            sums, n_maxes = _erfc_class_sums(q, phi, lam_Ts, _COMPONENT_TOL)
+            for (lam, T), class_sums, n_max in zip(lam_Ts, sums, n_maxes):
+                cases = [PlancherelCase(chi, phi, lam, T) for chi in chars]
+                rhs = _rhs_family(chars, phi, lam, T, _COMPONENT_TOL)
+                for case, r in zip(cases, rhs):
+                    lhs = _lhs_from_sums(case, class_sums, n_max)
+                    rows[case.chi.conrey, phi, lam, T] = _case_result(case, lhs, r)
+        results += [rows[chi.conrey, phi, lam, T] for chi in chars for phi in phis for lam, T in lam_Ts]
     return results

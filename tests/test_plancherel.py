@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -22,9 +23,37 @@ def test_case_validation():
 
 def test_required_n_max_monotone():
     # softer Gaussians (small T) need far more terms
-    assert plancherel.required_n_max(0.5, 0.25) > plancherel.required_n_max(0.5, 4.0)
-    n = plancherel.required_n_max(0.0, 1.0, tol=1e-9)
-    assert n >= plancherel.required_n_max(0.0, 1.0, tol=1e-6)
+    assert plancherel.required_n_max(4, 0.0, 0.5, 0.25) > plancherel.required_n_max(4, 0.0, 0.5, 4.0)
+    n = plancherel.required_n_max(4, 0.0, 0.0, 1.0, tol=1e-9)
+    assert n >= plancherel.required_n_max(4, 0.0, 0.0, 1.0, tol=1e-6)
+
+
+# n_max of the absolute truncation rule pi e^{lam^2/(2T)} erfc(sqrt(T/2)(log N - lam/T)) < 1e-9
+# at lam = 1/2, T = 1/4, which ignored the character's cancellation
+ABSOLUTE_RULE_N_MAX = 2_504_294
+
+
+def _tail_cases():
+    rng = random.Random(20)
+    for q in (5, 7, 11):
+        chars = [c for c in dirichlet.enumerate_characters(q, primitive_only=True) if not c.is_principal]
+        yield rng.choice(chars)
+    # imprimitive: mod 8, induced from the character mod 4
+    yield dirichlet.character(8, 7)
+
+
+@pytest.mark.parametrize("chi", list(_tail_cases()), ids=lambda c: f"{c.q}.{c.conrey}")
+def test_lhs_tail_covers_truncation(chi):
+    # the cancellation-aware tail bound covers the truncation error against a
+    # sum cut where its own bound is below 1e-14
+    for phi in (0.0, 0.3, -1.7):
+        for lam, T in ((0.5, 0.25), (0.0, 0.25), (0.25, 1.0)):
+            case = plancherel.PlancherelCase(chi, phi, lam, T)
+            value, tail, n_max = plancherel.lhs_gaussian_sum(case)
+            ref, ref_tail, _ = plancherel.lhs_gaussian_sum(case, tol=1e-14)
+            assert abs(value - ref) <= tail + ref_tail, (phi, lam, T, abs(value - ref), tail)
+            if (lam, T) == (0.5, 0.25):
+                assert n_max < ABSOLUTE_RULE_N_MAX
 
 
 def test_lhs_tail_honest():
@@ -37,13 +66,15 @@ def test_lhs_tail_honest():
 
 @pytest.mark.parametrize("q, conrey, phi", [(7, 3, 0.9), (7, 3, 0.0), (11, 2, -1.7)])
 def test_lhs_matches_per_n_sum(q, conrey, phi):
-    # lam = 1/2, T = 1/4 runs n to 2.5 million: about 39 chunk boundaries, and
-    # neither 7 nor 11 divides the chunk length, so a residue class misplaced
-    # at a chunk edge would show here
+    # lam = 1/2, T = 1/4 at tol 1e-14 runs n past 1.4 million: over 20 chunk
+    # boundaries, and neither 7 nor 11 divides the chunk length, so a residue
+    # class misplaced at a chunk edge would show here
     chi = dirichlet.character(q, conrey)
     assert chi.order > 2
     lam, T = 0.5, 0.25
-    value, _, n_max = plancherel.lhs_gaussian_sum(plancherel.PlancherelCase(chi, phi, lam, T))
+    case = plancherel.PlancherelCase(chi, phi, lam, T)
+    value, _, n_max = plancherel.lhs_gaussian_sum(case, tol=1e-14)
+    assert n_max > 2 * plancherel._CHUNK
     n = np.arange(1, n_max + 1)
     logn = np.log(n)
     z = math.sqrt(T / 2.0) * (logn - (lam - 1.0) / T)
@@ -101,11 +132,17 @@ def test_small_grid_runs():
 
 
 def test_run_grid_rows_equal_verify_case():
-    # lam = 0 stops its erfc sum chunks before lam = 1/4 does; q = 4 divides
-    # the chunk length and q = 7 does not
+    # lam = 0 stops its erfc sum before lam = 1/4 does, inside their shared
+    # chunk; q = 4 divides the chunk length and q = 7 does not
     rows = plancherel.run_grid(moduli=(4, 7), lams=(0.0, 0.25), Ts=(0.25,), phis=(0.0, 0.3))
     assert len(rows) == (1 + 5) * 2 * 2
-    for row in rows:
+    # at q = 5, phi = 0, lam = 1/2, T = 1 the real character's trapezoid
+    # stops at fewer intervals than the complex ones, so the family loop
+    # runs on after one of its characters has dropped out
+    stops = plancherel.run_grid(moduli=(5,), lams=(0.5,), Ts=(1.0,), phis=(0.0,))
+    cases = [plancherel.PlancherelCase(dirichlet.character(5, r.conrey), 0.0, 0.5, 1.0) for r in stops]
+    assert len({plancherel.rhs_L_integral(case)[3] for case in cases}) > 1
+    for row in rows + stops:
         chi = dirichlet.character(row.q, row.conrey)
         assert row == plancherel.verify_case(plancherel.PlancherelCase(chi, row.phi, row.lam, row.T))
 
@@ -118,26 +155,31 @@ def test_rhs_unconverged_raises():
 
 
 def test_grid_peak_memory_flat_in_blocks():
-    # q = 5, lam = 1/2, T = 1/4: three characters and 2.5 million erfc
-    # terms per phi, streamed in chunks; a second phi doubles the passes
-    def peak(phis):
+    # q = 5, phi = 0.3, tol 1e-14: 1.3 million erfc terms for lam = 1/2,
+    # T = 1/4, streamed in chunks; the second pass adds every other (lam, T)
+    # of the grid, whose terms share those chunks
+    def peak(lam_Ts):
         tracemalloc.start()
         try:
-            plancherel.run_grid(moduli=(5,), lams=(0.5,), Ts=(0.25,), phis=phis)
-            return tracemalloc.get_traced_memory()[1]
+            _, n_maxes = plancherel._erfc_class_sums(5, 0.3, lam_Ts, 1e-14)
+            return tracemalloc.get_traced_memory()[1], max(n_maxes)
         finally:
             tracemalloc.stop()
 
-    one, two = peak((0.3,)), peak((0.3, -1.7))
+    grid = [(lam, T) for T in plancherel.GRID_TS for lam in plancherel.GRID_LAMS]
+    (one, n_max), (two, _) = peak([(0.5, 0.25)]), peak(grid)
+    assert n_max > 2 * plancherel._CHUNK
     assert two <= 1.2 * one, (one, two)
 
 
 def test_grid_peak_memory_bounded():
-    # the erfc sums stream n in chunks; no array spans all 2.5 million terms
+    # the erfc sums stream n in chunks; no array spans all 1.3 million terms
+    case = plancherel.PlancherelCase(dirichlet.character(5, 2), 0.3, 0.5, 0.25)
     tracemalloc.start()
     try:
-        plancherel.run_grid(moduli=(5,), lams=(0.5,), Ts=(0.25,), phis=(0.3,))
+        _, _, n_max = plancherel.lhs_gaussian_sum(case, tol=1e-14)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert n_max > 2 * plancherel._CHUNK
     assert peak <= 32 * 2**20, peak
