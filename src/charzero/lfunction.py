@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import loggamma
 
 from . import dirichlet, sieve
 from .errors import CoverageError, DomainError, PoleError, WindowError
@@ -292,6 +291,9 @@ def _gamma_factor(q: int, a: int, s: np.ndarray) -> np.ndarray:
     the pole and the contour code catches it, so callers form the factor
     and its product with L under np.errstate(invalid=..., over="ignore").
     """
+    # imported on first use: scipy.special takes about 0.1 s to import
+    from scipy.special import loggamma
+
     z = 0.5 * (s + a)
     return np.exp(z * math.log(q / math.pi) + loggamma(z))
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import dirichlet, lfunction, sieve
 from .errors import ConvergenceError, DomainError
@@ -98,6 +97,9 @@ def _erfc_class_sums(q: int, phi: float, lam_Ts, tol: float):
     reshape.  A case's last chunk is zero-padded to whole rows, so its sums do
     not depend on the other cases in lam_Ts.
     """
+    # imported on first use: scipy.special takes about 0.1 s to import
+    from scipy.special import erfc
+
     n_maxes = [required_n_max(q, phi, lam, T, tol) for lam, T in lam_Ts]
     sums = np.zeros((len(lam_Ts), q), dtype=np.complex128)
     step = _CHUNK // q * q

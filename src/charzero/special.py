@@ -1,7 +1,10 @@
 """The composite Gauss-Legendre rule shared by several modules.
 
-The special functions themselves come from scipy.special: loggamma for the
-Gamma factor of xi (lfunction) and exp1 for the kernel H (spectral).
+The special functions themselves come from scipy.special, each imported on
+first use at its one use site: loggamma in lfunction._gamma_factor (the Gamma
+factor of xi), erfc in plancherel._erfc_class_sums (the erfc sum of the
+Plancherel left side) and exp1 in spectral._k_values (the kernel H).  Code
+that calls none of them never loads scipy.special.
 """
 from __future__ import annotations
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from . import contour
 from .errors import ContourError, DomainError
@@ -43,6 +42,9 @@ def _k_values(z) -> np.ndarray:
     """K(z) = 1/2 - G(z) = 1/2 - (E1(az) - E1(z)).  1/2 - G cancels near 0,
     so callers keep |z| >= _SERIES_RADIUS: the strip contours have
     |z| >= pi, and Newton's iterates stay at Im z >= pi - 2."""
+    # imported on first use: scipy.special takes about 0.1 s to import
+    from scipy.special import exp1
+
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     return 0.5 - (exp1(_A * z) - exp1(z))
 

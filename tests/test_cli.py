@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -330,3 +333,32 @@ def test_bound_rejects_other_mode_flag(capsys):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+_LAZY_SCIPY = """
+import contextlib, importlib, io, pkgutil, sys
+import charzero
+from charzero import cli, dirichlet, lfunction
+for m in pkgutil.iter_modules(charzero.__path__):
+    importlib.import_module("charzero." + m.name)
+for argv in (["halasz", "--f", "ntoi:1", "--x", "10000"],
+             ["chars", "--q", "12"],
+             ["census", "--q", "101", "--u", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "scipy.special" not in sys.modules, "loaded without a special function"
+lfunction.family_xi([dirichlet.character(5, 2)], [0.5 + 14j])
+assert "scipy.special" in sys.modules, "xi ran without loggamma"
+"""
+
+
+def test_multiplicative_side_never_imports_scipy_special():
+    # a fresh interpreter: the test session itself has imported scipy.special
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
