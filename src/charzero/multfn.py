@@ -16,6 +16,7 @@ from . import dirichlet, sieve
 from .errors import DomainError, SieveLimitError
 
 DEFAULT_FUNCTION_LIMIT = 10**7
+_SIEVE_CHUNK = 1 << 14  # large-prime multiples gathered at once by values_at
 
 
 class CompletelyMultiplicativeFunction:
@@ -23,8 +24,14 @@ class CompletelyMultiplicativeFunction:
 
     A subclass states its values once, either in closed form as `values_at`
     or on primes as `prime_values`; each default is built from the other.
-    A kind given only on primes is summed by re-sieving from 1 for every
-    block of dirichlet._BLOCK terms, so keep its limit within one block.
+    The generic `values_at` sieves 1..max(n) from `prime_values`: a strided
+    pass per prime power for the primes p with p^2 <= max(n), then the
+    larger primes, each dividing an n at most once, multiplied onto their
+    multiples in gathers of at most _SIEVE_CHUNK entries. Its memory is the
+    complex array over 1..max(n), the prime values and those bounded
+    temporaries. A kind given only on primes is summed by re-sieving from 1
+    for every block of dirichlet._BLOCK terms, so keep its limit within one
+    block.
     """
 
     limit: int = DEFAULT_FUNCTION_LIMIT
@@ -33,17 +40,33 @@ class CompletelyMultiplicativeFunction:
     def values_at(self, n: np.ndarray) -> np.ndarray:
         """f(n) for an int64 array of n >= 1.
 
-        Generic path: sieve up to max(n) from prime_values, multiplying one
-        prime factor at a time over prime-power progressions.
+        Every n takes its prime factors in increasing order, one factor per
+        multiplication, whichever pass applies them.
         """
+        if np.min(n, initial=1) < 1:
+            raise DomainError("f(n) needs n >= 1")
         top = int(np.max(n, initial=1))
         ps = sieve.primes_up_to(top)
+        pv = self.prime_values(ps)
         vals = np.ones(top + 1, dtype=np.complex128)
-        for p, v in zip(ps, self.prime_values(ps)):
+        small = int(np.searchsorted(ps, math.isqrt(top), side="right"))
+        for p, v in zip(ps[:small], pv[:small]):
             pk = p
             while pk <= top:
                 vals[pk::pk] *= v
                 pk *= p
+        # p^2 > top: no n <= top has two such factors, so a gather over the
+        # multiples of several of them holds each n once, and reaches it
+        # after every smaller prime has been applied. A group takes as many
+        # primes as the multiples of its first (the most) fit in the chunk.
+        lo = small
+        while lo < len(ps):
+            hi = lo + max(1, _SIEVE_CHUNK // int(top // ps[lo]))
+            c = top // ps[lo:hi]
+            m = np.arange(1, np.sum(c) + 1) - np.repeat(np.cumsum(c) - c, c)
+            vals[np.repeat(ps[lo:hi], c) * m] *= np.repeat(pv[lo:hi], c)
+            lo = hi
+        del pv  # free the prime values before the result's copy
         return vals[n]
 
     def prime_values(self, primes: np.ndarray) -> np.ndarray:
@@ -115,9 +138,11 @@ class RandomPMFunction(CompletelyMultiplicativeFunction):
 
     def prime_values(self, primes):
         primes = np.asarray(primes)
-        if primes.size and primes[-1] > self.limit:
+        if np.max(primes, initial=0) > self.limit:
             raise SieveLimitError("prime beyond the sampled range")
         idx = np.searchsorted(self._primes, primes)
+        if not (np.all(idx < len(self._primes)) and np.array_equal(self._primes[idx], primes)):
+            raise DomainError("prime_values needs primes")
         return self._signs[idx].astype(np.complex128)
 
 
@@ -259,22 +284,33 @@ def _euler_weights(f, x):
     return lp, w
 
 
-def _log_abs_F(primes_log, w, ts) -> np.ndarray:
+def _abs_parts(w):
+    """(Re w, Im w, |w|^2) as contiguous arrays, formed once per search."""
+    a, b = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
+    return a, b, a * a + b * b
+
+
+def _log_abs_F_at(primes_log, parts, ts) -> np.ndarray:
     """log|F(1 + 1/log x + it)| via the Euler product, vectorized over t.
 
-    w = f(p) p^{-sigma0} precomputed, |w| < 1; |1 - w e^{-i theta}|^2
-    expanded in real arithmetic to avoid complex exponentials.
+    parts = _abs_parts(w) for w = f(p) p^{-sigma0}, |w| < 1;
+    |1 - w e^{-i theta}|^2 expanded in real arithmetic to avoid complex
+    exponentials.
     """
+    a, b, w2 = parts
     ts = np.asarray(ts, dtype=np.float64)
     out = np.empty(len(ts))
-    a, b = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
-    w2 = a * a + b * b
     chunk = max(1, (1 << 23) // max(1, len(primes_log)))
     for lo in range(0, len(ts), chunk):
         theta = np.multiply.outer(ts[lo : lo + chunk], primes_log)
         m2 = 1.0 + w2 - 2.0 * (np.cos(theta) * a + np.sin(theta) * b)
         out[lo : lo + chunk] = -0.5 * np.sum(np.log(m2), axis=1)
     return out
+
+
+def _log_abs_F(primes_log, w, ts) -> np.ndarray:
+    """_log_abs_F_at from the weights w themselves."""
+    return _log_abs_F_at(primes_log, _abs_parts(w), ts)
 
 
 # The grid scan sums log F = sum_p sum_k (w_p^k / k) e^{-ikt log p} by a
@@ -325,9 +361,17 @@ def _nufft_type1(freqs, coefs, step, jmax) -> np.ndarray:
     for lo in range(0, len(u), _SOURCE_CHUNK):
         uc = u[lo : lo + _SOURCE_CHUNK]
         cc = coefs[lo : lo + _SOURCE_CHUNK]
-        cells = np.floor(uc).astype(np.int64)[:, None] + offs
-        g = np.exp(-((cells - uc[:, None]) * h) ** 2 / (4.0 * tau))
-        cells = (cells % mr).ravel()
+        # u >= 0 makes u - floor(u) exact, so offs - (u - floor(u)) is the
+        # distance (floor(u) + offs) - u rounded once; mr is a power of two,
+        # so the mask reduces a cell mod mr, also below 0
+        first = np.floor(uc)
+        g = offs - (uc - first)[:, None]
+        g *= h
+        np.square(g, out=g)
+        np.negative(g, out=g)
+        g /= 4.0 * tau
+        np.exp(g, out=g)
+        cells = ((first.astype(np.int64)[:, None] + offs) & (mr - 1)).ravel()
         re += np.bincount(cells, (g * cc.real[:, None]).ravel(), minlength=mr)
         im += np.bincount(cells, (g * cc.imag[:, None]).ravel(), minlength=mr)
     spec = np.fft.fft(re + 1j * im)
@@ -374,8 +418,9 @@ def find_phi_and_M(f, x) -> HalaszData:
     jmax = int(math.floor(logx / step))
     ts = np.arange(-jmax, jmax + 1, dtype=np.float64) * step
     vals, _ = _log_abs_F_grid(lp, w, step, jmax)
+    parts = _abs_parts(w)
     near = np.flatnonzero(vals >= np.max(vals) - _GRID_GUARD)
-    vals[near] = _log_abs_F(lp, w, ts[near])
+    vals[near] = _log_abs_F_at(lp, parts, ts[near])
 
     top = np.max(vals[near])
     cand = near[vals[near] >= top]
@@ -383,7 +428,7 @@ def find_phi_and_M(f, x) -> HalaszData:
     t_best, v_best = float(ts[j_best]), float(vals[j_best])
 
     def g(t):
-        return float(_log_abs_F(lp, w, [t])[0])
+        return float(_log_abs_F_at(lp, parts, [t])[0])
 
     # golden-section maximization on the bracketing interval
     lo = max(-logx, t_best - step)

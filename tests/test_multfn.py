@@ -383,3 +383,100 @@ def test_sieve_limit_guard():
         multfn.mean_value(small, 200)
     with pytest.raises(SieveLimitError):
         multfn.distance_sq(small, ONE, 500.0)
+
+
+def _strided_sieve(f, top):
+    # the one-pass reference: every prime power strides over 1..top
+    ps = sieve.primes_up_to(top)
+    vals = np.ones(top + 1, dtype=np.complex128)
+    for p, v in zip(ps, f.prime_values(ps)):
+        pk = p
+        while pk <= top:
+            vals[pk::pk] *= v
+            pk *= p
+    return vals
+
+
+class _UnitPrimes(multfn.CompletelyMultiplicativeFunction):
+    # complex f(p) = e^{i sqrt p}, given on primes only
+    def prime_values(self, primes):
+        return np.exp(1j * np.sqrt(np.asarray(primes, dtype=np.float64)))
+
+
+# randpm:8 has f(2) = f(5) = -1, so f(4) and f(25) show a square factor
+# that took one factor instead of two
+@pytest.mark.parametrize(
+    "f", [multfn.RandomPMFunction(seed=8), _UnitPrimes()], ids=["randpm", "complex"]
+)
+def test_generic_sieve_matches_strided_loop(f):
+    big = 10**5 + 3
+    # the large primes' multiples at this top fill more than one gather
+    ps = sieve.primes_up_to(big)
+    assert np.sum(big // ps[ps > math.isqrt(big)]) > multfn._SIEVE_CHUNK
+    for top in (1, 2, 3, 4, 8, 9, 24, 25, 26, big):
+        n = np.arange(1, top + 1, dtype=np.int64)
+        assert np.array_equal(f.values_at(n), _strided_sieve(f, top)[1:]), top
+    rng = np.random.default_rng(2022)
+    n = rng.integers(1, big + 1, size=5000)
+    n[:50] = n[50:100]  # repeats, in no order
+    assert np.array_equal(f.values_at(n), _strided_sieve(f, int(n.max()))[n])
+
+
+def test_generic_values_need_primes_and_positive_n():
+    f = multfn.RandomPMFunction(seed=1)
+    with pytest.raises(DomainError):
+        f.prime_values(np.array([4]))  # a composite between primes
+    with pytest.raises(DomainError):
+        f.prime_values(np.array([999_999]))  # past the last prime <= 10^6
+    with pytest.raises(DomainError):
+        f.prime_values(np.array([3, 1]))
+    with pytest.raises(DomainError):
+        f.values_at(np.array([3, 0]))
+    with pytest.raises(DomainError):
+        _UnitPrimes().values_at(np.array([-2, 5]))
+    assert f.values_at(np.array([], dtype=np.int64)).size == 0
+
+
+def _nufft_reference(freqs, coefs, step, jmax):
+    # the spreader with int64 cells reduced % mr and the Gaussian taken from
+    # (cells - u); the masked spreader must match it bit for bit
+    n = 2 * jmax + 1
+    mr = 1 << math.ceil(math.log2(multfn._OVERSAMPLE * n))
+    ratio = mr / n
+    tau = math.pi * multfn._SPREAD / (n * n * ratio * (ratio - 0.5))
+    h = 2.0 * math.pi / mr
+    u = np.mod(step * freqs, 2.0 * math.pi) / h
+    offs = np.arange(1 - multfn._SPREAD, multfn._SPREAD + 1)
+    re = np.zeros(mr)
+    im = np.zeros(mr)
+    for lo in range(0, len(u), multfn._SOURCE_CHUNK):
+        uc = u[lo : lo + multfn._SOURCE_CHUNK]
+        cc = coefs[lo : lo + multfn._SOURCE_CHUNK]
+        cells = np.floor(uc).astype(np.int64)[:, None] + offs
+        g = np.exp(-((cells - uc[:, None]) * h) ** 2 / (4.0 * tau))
+        cells = (cells % mr).ravel()
+        re += np.bincount(cells, (g * cc.real[:, None]).ravel(), minlength=mr)
+        im += np.bincount(cells, (g * cc.imag[:, None]).ravel(), minlength=mr)
+    spec = np.fft.fft(re + 1j * im)
+    j = np.arange(-jmax, jmax + 1)
+    return spec[j % mr] * (math.sqrt(math.pi / tau) / mr * np.exp(j * j * tau))
+
+
+def test_nufft_spreader_matches_modulo_cells():
+    x = 1e4
+    step = 1.0 / (10.0 * math.log(x))
+    jmax = int(math.floor(math.log(x) / step))
+    for spec in ("char:5.4", "ntoi:0.5", "randpm:3"):
+        freqs, coefs, _ = multfn._log_series(*multfn._euler_weights(multfn.parse_function(spec), x))
+        got = multfn._nufft_type1(freqs, coefs, step, jmax)
+        assert np.array_equal(got, _nufft_reference(freqs, coefs, step, jmax)), spec
+    # sources at both ends of the fine grid: u = 0, u just below mr, and a
+    # tiny negative step * freq that np.mod rounds up to 2 pi, so u = mr
+    mr = 1 << math.ceil(math.log2(multfn._OVERSAMPLE * (2 * jmax + 1)))
+    below = np.nextafter(2.0 * math.pi, 0.0) / step
+    freqs = np.array([0.0, below, -1e-300 / step, 1.0])
+    u = np.mod(step * freqs, 2.0 * math.pi) / (2.0 * math.pi / mr)
+    assert u[0] == 0.0 and mr - 1 <= u[1] < mr and u[2] == mr
+    coefs = np.array([0.3 - 0.1j, 0.2 + 0.4j, -0.5 + 0.25j, 0.1 + 0.1j])
+    got = multfn._nufft_type1(freqs, coefs, step, jmax)
+    assert np.array_equal(got, _nufft_reference(freqs, coefs, step, jmax))
