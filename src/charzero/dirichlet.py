@@ -1,5 +1,15 @@
-"""Dirichlet characters mod q: canonical unit-group bases, Conrey labels,
-exact root-of-unity values, and deterministic partial sums.
+"""Dirichlet characters mod q: one character group per modulus, Conrey
+labels, exact root-of-unity values, and deterministic partial sums.
+
+Everything about the characters mod q comes from one cached record per
+modulus, _group(q): the units in ascending order, each unit's exponents over
+canonical generators of (Z/q)^*, and the order, parity and conductor of
+every character as arrays in unit order.  By the Conrey pairing the
+character labelled units[i] has the exponents of units[i], so a character is
+one row of the record, and the values of k characters at every unit are one
+integer product and a gather from the record's roots of unity.  Nothing else
+is cached per modulus; value_table and gauss_sum cache one character's table
+and sum for the callers that want one character.
 
 Character values are rational angles (fractions of a full turn), so algebraic
 identities (multiplicativity, orthogonality) can be checked exactly; complex
@@ -21,87 +31,113 @@ _BLOCK = 1 << 20  # sums over n accumulate in fixed blocks, pairwise inside
 
 
 @dataclass(frozen=True)
-class UnitGroupBasis:
-    """Generators of (Z/q)^* as a product of cyclic groups.
+class _Group:
+    """The characters mod q, as arrays over the ascending units.
 
-    Blocks are listed with prime-power factors in ascending prime order.  For
-    2^e with e >= 3 the block contributes the pair (-1, 5) with orders
-    (2, 2^(e-2)); odd prime powers contribute their smallest primitive root.
-    Generators are CRT-lifted to residues mod q.
+    The generators of (Z/q)^* come block by block, prime-power factors in
+    ascending prime order: the smallest primitive root for an odd p^e, 3 for
+    4, and the pair (-1, 5) of orders (2, 2^(e-2)) for 2^e with e >= 3, each
+    CRT-lifted to a residue mod q.
+
+    units: ascending residues coprime to q, shape (phi,).
+    expmat[i, j]: exponent of generator j in units[i]; also the exponents of
+        the character labelled units[i] (Conrey pairing).
+    D = lcm of the generator orders d_j, weights[j] = D // d_j: the character
+        with exponents a has angle (expmat[i] . (a * weights)) / D at units[i].
+    roots[m] = e(m / D).
+    order, parity, conductor: of the character labelled units[i], at i.
     """
 
-    q: int
-    factors: tuple[tuple[int, int], ...]
-    generators: tuple[int, ...]
-    generator_orders: tuple[int, ...]
+    units: np.ndarray
+    expmat: np.ndarray
+    D: int
+    weights: np.ndarray
+    roots: np.ndarray
+    order: np.ndarray
+    parity: np.ndarray
+    conductor: np.ndarray
 
 
-@lru_cache(maxsize=256)
-def unit_group_basis(q: int) -> UnitGroupBasis:
+@lru_cache(maxsize=128)
+def _group(q: int) -> _Group:
+    """The character group mod q; the only cache of character data.
+
+    With a_j the character's exponent on generator j of order d_j, its
+    restriction there has order o_j = d_j / gcd(d_j, a_j), and
+    - its order is the lcm of the o_j;
+    - it is odd when its angle at q - 1 (the last unit) is nonzero;
+    - its conductor is the lcm, over j with o_j > 1, of c_j gcd(o_j, m_j),
+      with (c, m) = (p, p^(e-1)) for an odd p^e, (4, 1) for the generator
+      of 4 and for -1 mod 2^e, and (4, 2^(e-2)) for 5 mod 2^e.
+    The conductor rule holds because the characters mod p^e of conductor
+    dividing p^f are those trivial on the units = 1 mod p^f.  For odd p that
+    subgroup of the cyclic group has order p^(e-f), so a restriction of
+    order o has conductor p^(1 + v_p(o)), or 1 when o = 1.  Mod 2^e the units
+    = 1 mod 2^f (f >= 2) are the powers of 5^(2^(f-2)), so a restriction to
+    <5> of order o > 1 has conductor 4 o, and one to <-1> has conductor 4.
+    The conductor of a product over coprime moduli, or of two powers of 2,
+    is the lcm of the factors' conductors.
+    """
     if q < 1:
         raise DomainError("modulus must be a positive integer")
     sieve.check_limit(q, "modulus")
-    factors = tuple(sieve.factorize(q)) if q > 1 else ()
-    gens: list[int] = []
-    orders: list[int] = []
-    for p, e in factors:
+    gens = []  # (generator mod q, its order d, c, m)
+    for p, e in sieve.factorize(q) if q > 1 else ():
         pe = p**e
-        cof = q // pe
         if p == 2:
             if e == 1:
                 continue
-            if e == 2:
-                block = [(3, 2)]
-            else:
-                block = [(pe - 1, 2), (5, 2 ** (e - 2))]
+            block = [(3, 2, 4, 1)] if e == 2 else [(pe - 1, 2, 4, 1), (5, pe // 4, 4, pe // 4)]
         else:
-            block = [(sieve.primitive_root(p, e), sieve.euler_phi(pe))]
-        for g, d in block:
-            lifted = g if cof == 1 else sieve.crt_pair(g, pe, 1, cof)
-            gens.append(lifted)
-            orders.append(d)
-    return UnitGroupBasis(q, factors, tuple(gens), tuple(orders))
+            block = [(sieve.primitive_root(p, e), sieve.euler_phi(pe), p, pe // p)]
+        cof = q // pe
+        gens += [(g if cof == 1 else sieve.crt_pair(g, pe, 1, cof), d, c, m) for g, d, c, m in block]
+    # every unit as a product of generator powers, generator by generator
+    units = np.array([1 % q], dtype=np.int64)
+    expmat = np.zeros((1, 0), dtype=np.int64)
+    for g, d, _, _ in gens:
+        powers = [1]
+        for _ in range(d - 1):
+            powers.append(powers[-1] * g % q)
+        expmat = np.column_stack([np.repeat(expmat, d, axis=0), np.tile(np.arange(d), len(units))])
+        units = (units[:, None] * np.array(powers, dtype=np.int64) % q).ravel()
+    perm = np.argsort(units)
+    units, expmat = units[perm], expmat[perm]
+    _, d, c, m = np.array(gens, dtype=np.int64).reshape(-1, 4).T
+    D = math.lcm(*d.tolist())
+    weights = D // d
+    o = d // np.gcd(d, expmat)  # each character's order on each generator
+    return _Group(
+        units=units,
+        expmat=expmat,
+        D=D,
+        weights=weights,
+        roots=np.exp(2j * np.pi * (np.arange(D) / D)),
+        order=np.lcm.reduce(o, axis=1, initial=1),
+        parity=((expmat * weights) @ expmat[-1] % D != 0).astype(np.int64),
+        conductor=np.lcm.reduce(np.where(o > 1, c * np.gcd(o, m), 1), axis=1, initial=1),
+    )
 
 
-@lru_cache(maxsize=128)
-def _basis_tables(q: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """(units, exponent matrix, D, weights) for mod-q discrete logs.
+def _angles(chars) -> np.ndarray:
+    """(k x units) angle numerators over D of k characters of one modulus."""
+    g = _group(chars[0].q)
+    a = np.array([chi.exponents for chi in chars], dtype=np.int64)
+    return (a * g.weights) @ g.expmat.T % g.D
 
-    units: ascending residues coprime to q, shape (phi,).
-    expmat[i, j]: exponent of generator j in units[i].
-    D = lcm of generator orders; weights[j] = D // order_j, so the angle of
-    a character with exponents a at units[i] is (expmat[i] . (a * weights)) / D.
+
+def _unit_values(chars) -> np.ndarray:
+    """(k x units) values of k characters of one modulus at the units.
+
+    A character of order <= 2 gets exactly +-1: exp(i pi) would carry an
+    imaginary part of 1.2e-16, and chi would no longer be real.
     """
-    basis = unit_group_basis(q)
-    gens, orders = basis.generators, basis.generator_orders
-    ngen = len(gens)
-    table: dict[int, tuple[int, ...]] = {1 % q: (0,) * ngen}
-    # enumerate the group generator by generator
-    for j, (g, d) in enumerate(zip(gens, orders)):
-        current = list(table.items())
-        for r, exps in current:
-            acc = r
-            for k in range(1, d):
-                acc = acc * g % q
-                e = list(exps)
-                e[j] = k
-                table[acc] = tuple(e)
-    units = np.array(sorted(table), dtype=np.int64)
-    expmat = np.array([table[int(u)] for u in units], dtype=np.int64)
-    if expmat.size == 0:
-        expmat = expmat.reshape(len(units), 0)
-    D = 1
-    for d in orders:
-        D = D * d // math.gcd(D, d)
-    weights = np.array([D // d for d in orders], dtype=np.int64)
-    return units, expmat, D, weights
-
-
-@lru_cache(maxsize=128)
-def _unit_index(q: int) -> dict[int, int]:
-    """Position of each unit residue in the ascending `units` of _basis_tables."""
-    units, _, _, _ = _basis_tables(q)
-    return {int(u): i for i, u in enumerate(units)}
+    nums = _angles(chars)
+    vals = _group(chars[0].q).roots[nums]
+    for j, chi in enumerate(chars):
+        if chi.order <= 2:
+            vals[j] = np.where(nums[j] == 0, 1.0, -1.0)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -109,7 +145,7 @@ class Character:
     """A Dirichlet character mod q in the Conrey labeling.
 
     `exponents[j]` is the numerator c_j in chi(g_j) = e(c_j / d_j) against the
-    canonical basis generators g_j of order d_j.
+    generators g_j of order d_j of _group(q).
     """
 
     q: int
@@ -127,15 +163,12 @@ class Character:
     def angle(self, n: int) -> Fraction | None:
         """chi(n) as a fraction of a full turn in [0, 1); None when chi(n) = 0."""
         n %= self.q
-        if self.q == 1:
-            return Fraction(0)
-        idx = _unit_index(self.q).get(n)
-        if idx is None:
+        g = _group(self.q)
+        i = int(np.searchsorted(g.units, n))
+        if i == len(g.units) or g.units[i] != n:
             return None
-        _, expmat, D, weights = _basis_tables(self.q)
         a = np.asarray(self.exponents, dtype=np.int64)
-        num = int(expmat[idx] @ (a * weights)) % D
-        return Fraction(num, D)
+        return Fraction(int(g.expmat[i] @ (a * g.weights)) % g.D, g.D)
 
     def __call__(self, n: int) -> complex:
         return complex(value_table(self)[n % self.q])
@@ -152,53 +185,16 @@ class Character:
         return character(self.q, pow(self.conrey, k, self.q) if self.q > 1 else 1)
 
 
-def _angle_numerators(q: int, exponents: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Angle numerators over denominator D at every unit residue (ascending)."""
-    _, expmat, D, weights = _basis_tables(q)
-    a = np.asarray(exponents, dtype=np.int64)
-    if expmat.shape[1] == 0:
-        return np.zeros(expmat.shape[0], dtype=np.int64), D
-    return (expmat @ (a * weights)) % D, D
+def _characters(q: int, rows) -> list[Character]:
+    """The characters mod q > 1 labelled by units[rows] of _group(q)."""
+    g = _group(q)
+    cols = (g.units, g.expmat, g.order, g.parity, g.conductor)
+    return [
+        Character(q, u, tuple(a), o, p, f, f == q)
+        for u, a, o, p, f in zip(*(col[rows].tolist() for col in cols))
+    ]
 
 
-def _invariants(q: int, exponents: tuple[int, ...]) -> tuple[int, int, int]:
-    """(order, parity, conductor) from the exponent tuple."""
-    basis = unit_group_basis(q)
-    order = 1
-    for a, d in zip(exponents, basis.generator_orders):
-        o = d // math.gcd(d, a)
-        order = order * o // math.gcd(order, o)
-    nums, D = _angle_numerators(q, exponents)
-    units, _, _, _ = _basis_tables(q)
-    if q <= 2:
-        parity = 0
-    else:
-        idx = _unit_index(q)[q - 1]
-        parity = 0 if nums[idx] == 0 else 1
-    conductor = q
-    for f in sieve.divisors(q):
-        mask = units % f == 1 % f
-        if np.all(nums[mask] == 0):
-            conductor = f
-            break
-    return order, parity, conductor
-
-
-def _exponents_from_conrey(q: int, n: int) -> tuple[int, ...]:
-    """Discrete log of the Conrey label against the canonical basis.
-
-    The character with label n sends each generator g_j to e(a_j / d_j) where
-    (a_j) is the exponent vector of n itself.  This realizes the symmetric
-    Conrey pairing chi_q(n, m) = e(sum a_j b_j / d_j).
-    """
-    idx = _unit_index(q).get(n % q)
-    if idx is None:
-        raise DomainError(f"Conrey label {n} is not coprime to modulus {q}")
-    _, expmat, _, _ = _basis_tables(q)
-    return tuple(int(v) for v in expmat[idx])
-
-
-@lru_cache(maxsize=4096)
 def character(q: int, conrey: int) -> Character:
     """The Dirichlet character mod q with the given Conrey label."""
     if q < 1:
@@ -208,9 +204,7 @@ def character(q: int, conrey: int) -> Character:
     conrey %= q
     if math.gcd(conrey, q) != 1:
         raise DomainError(f"Conrey label {conrey} is not coprime to modulus {q}")
-    exps = _exponents_from_conrey(q, conrey)
-    order, parity, conductor = _invariants(q, exps)
-    return Character(q, conrey, exps, order, parity, conductor, conductor == q)
+    return _characters(q, [int(np.searchsorted(_group(q).units, conrey))])[0]
 
 
 def principal_character(q: int) -> Character:
@@ -220,33 +214,16 @@ def principal_character(q: int) -> Character:
 def enumerate_characters(q: int, primitive_only: bool = False) -> list[Character]:
     """All characters mod q in ascending Conrey-label order."""
     if q == 1:
-        chars = [character(1, 1)]
-    else:
-        units, _, _, _ = _basis_tables(q)
-        chars = [character(q, int(u)) for u in units]
-    if primitive_only:
-        chars = [c for c in chars if c.is_primitive]
-    return chars
+        return [character(1, 1)]
+    g = _group(q)
+    return _characters(q, g.conductor == q if primitive_only else slice(None))
 
 
 @lru_cache(maxsize=512)
 def value_table(chi: Character) -> np.ndarray:
-    """chi(r) for r = 0..q-1 as complex128 (zeros off the unit group).
-
-    A character of order <= 2 gets exactly +-1: exp(i pi) would carry an
-    imaginary part of 1.2e-16, and chi would no longer be real.
-    """
-    q = chi.q
-    table = np.zeros(q if q > 1 else 1, dtype=np.complex128)
-    if q == 1:
-        table[0] = 1.0
-        return table
-    nums, D = _angle_numerators(q, chi.exponents)
-    units, _, _, _ = _basis_tables(q)
-    if chi.order <= 2:
-        table[units] = np.where(nums == 0, 1.0, -1.0)
-    else:
-        table[units] = np.exp(2j * np.pi * (nums / D))
+    """chi(r) for r = 0..q-1 as complex128 (zeros off the unit group)."""
+    table = np.zeros(chi.q, dtype=np.complex128)
+    table[_group(chi.q).units] = _unit_values([chi])[0]
     return table
 
 
@@ -311,17 +288,13 @@ class CyclotomicSum:
 def character_sum_exact(chi: Character, m: int) -> CyclotomicSum:
     """sum_{n<=m} chi(n) held exactly as a cyclotomic integer."""
     q, k = chi.q, chi.order
-    nums, D = _angle_numerators(q, chi.exponents)
-    units, _, _, _ = _basis_tables(q)
+    units = _group(q).units
     # angles reduce to denominator k = order
-    red = nums * k // D
-    coeffs = np.zeros(k, dtype=np.int64)
+    red = _angles([chi])[0] * k // _group(q).D
     full, rest = divmod(m, q)
-    for u, r in zip(units, red):
-        count = full + (1 if u != 0 and u <= rest else 0)
-        if q == 1:
-            count = m
-        coeffs[int(r)] += count
+    # every unit once per full period, then the units up to the remainder
+    coeffs = full * np.bincount(red, minlength=k)
+    coeffs += np.bincount(red[(0 < units) & (units <= rest)], minlength=k)
     return CyclotomicSum(k, coeffs)
 
 

@@ -41,6 +41,12 @@ class Constants:
     witness_c: float = 3.0
     sum_bound_C: float = 1.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+                raise DomainError(f"constant {f.name} must be a finite real > 0, got {v!r}")
+
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["version"] = __version__

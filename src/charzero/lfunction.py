@@ -219,10 +219,9 @@ def _character_table(chars) -> tuple[np.ndarray, np.ndarray]:
     q = chars[0].q
     if any(chi.q != q for chi in chars):
         raise DomainError("a character family shares one modulus")
-    if q == 1:
-        return np.ones(1), np.ones((len(chars), 1), dtype=np.complex128)
-    units, _, _, _ = dirichlet._basis_tables(q)
-    return units / q, np.array([dirichlet.value_table(chi)[units] for chi in chars])
+    # mod 1 the one unit is a = 1, which the group lists as residue 0
+    xs = dirichlet._group(q).units / q if q > 1 else np.ones(1)
+    return xs, dirichlet._unit_values(chars)
 
 
 def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, pick=None):
@@ -422,7 +421,8 @@ def explicit_formula_balance(
         raise DomainError("lam must lie in (0, 1/2]")
     if chi.is_principal:
         raise DomainError("balance check expects a nonprincipal character")
-    if T_cover <= 0 or not list(zeros):
+    zeros = list(zeros)  # read twice: the coverage check and the sum
+    if T_cover <= 0 or not zeros:
         raise CoverageError("zero coverage is empty; supply zeros up to T_cover")
     q = chi.q
     s0 = 1.0 + lam + 1j * t

@@ -354,6 +354,7 @@ def hadamard_ratio_check(
         raise DomainError("lam must lie in (0, 1/2]")
     if T_cover < abs(t) + 20:
         raise CoverageError("zeros must be supplied to height |t| + 20")
+    zeros = list(zeros)  # read twice: the product and the quadratic sum
     ev = LEvaluator(chi)
     s0 = 1.0 + lam + 1j * t
     s1 = 1.0 - lam + 1j * t

@@ -213,6 +213,16 @@ def test_unknown_config_key_exits_2(capsys, tmp_path):
         assert key in err
 
 
+def test_bad_config_value_exits_2(capsys, tmp_path):
+    for value in ("nan", "foo", "0", "-5"):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"abs_c = {value}\n")
+        code, out, err = run(capsys, ["--config", str(cfg), "audit-corollary",
+                                      "--q-min", "3", "--q-max", "3", "--eps", "0.9"])
+        assert code == 2, value
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "abs_c" in err and value in err
+
 def test_seed_flag_exits_2(capsys):
     for argv in (["--seed", "7", "constants"], ["--threads", "4", "constants"]):
         code, out, err = run(capsys, argv)

@@ -196,3 +196,32 @@ def test_character_errors():
         dirichlet.character(0, 1)
     with pytest.raises(DomainError):
         dirichlet.character(5, 2) * dirichlet.character(7, 2)
+
+
+def _invariants_by_character(chi):
+    """(order, parity, conductor) of one character alone, as the package
+    computed them before the group record: order as the lcm of its orders
+    on the generators, parity from chi(-1), conductor as the least d | q
+    with chi trivial on the units = 1 mod d."""
+    g = dirichlet._group(chi.q)
+    a = np.array(chi.exponents, dtype=np.int64)
+    order = 1
+    for aj, dj in zip(chi.exponents, (g.D // g.weights).tolist()):
+        order = math.lcm(order, dj // math.gcd(dj, aj))
+    nums = g.expmat @ (a * g.weights) % g.D
+    parity = int(nums[-1] != 0)  # the last unit is q - 1
+    conductor = next(f for f in sieve.divisors(chi.q) if np.all(nums[g.units % f == 1 % f] == 0))
+    return order, parity, conductor
+
+
+def test_group_invariants_match_per_character_definitions():
+    for q in range(1, 201):
+        chars = dirichlet.enumerate_characters(q)
+        for chi in chars:
+            assert (chi.order, chi.parity, chi.conductor) == _invariants_by_character(chi), chi
+            assert chi.is_primitive == (chi.conductor == q)
+        # primitive characters mod p^e number phi(p^e) - phi(p^(e-1))
+        want = math.prod(
+            sieve.euler_phi(p**e) - sieve.euler_phi(p ** (e - 1)) for p, e in sieve.factorize(q)
+        ) if q > 1 else 1
+        assert sum(chi.is_primitive for chi in chars) == want, q

@@ -410,3 +410,14 @@ def test_balance_requires_coverage():
         lfunction.explicit_formula_balance(
             CHI4, 0.75, 0.0, [complex(0.5, 6.02)], T_cover=11.0
         )
+
+
+def test_family_beyond_the_old_table_cache_matches_evaluator():
+    # 855 primitive characters mod 1003, more than value_table's cache holds
+    family = dirichlet.enumerate_characters(1003, primitive_only=True)
+    assert len(family) == 855
+    s = np.array([0.5 + 0.1j, 0.75 - 3.0j, 2.0 + 14.0j])
+    vals, bounds = lfunction.family_values(family, s)
+    for chi, row in zip(family, vals):
+        want, want_bounds = lfunction.LEvaluator(chi).values(s)
+        assert np.array_equal(row, want) and np.array_equal(bounds, want_bounds)

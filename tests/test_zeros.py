@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from charzero import contour, dirichlet, harness, zeros
+from charzero import contour, dirichlet, harness, lfunction, zeros
 from charzero.errors import (
     ContourError,
     CountMismatchError,
@@ -443,3 +443,12 @@ def test_locate_family_matches_per_character(monkeypatch):
     want = rf"winding count is \d+ \(q=23, conrey={bad.conrey},"
     with pytest.raises(CountMismatchError, match=want):
         zeros.locate_zeros_family(family, rect)
+
+
+def test_zero_identities_read_a_generator_like_a_list():
+    chi = dirichlet.character(5, 2)
+    recs = zeros.locate_zeros(chi, zeros.Rectangle(0, 1, -39.0, 41.0))
+    for check in (zeros.hadamard_ratio_check, lfunction.explicit_formula_balance):
+        want = check(chi, 0.3, 1.0, recs, T_cover=40.0)
+        assert check(chi, 0.3, 1.0, (r for r in recs), T_cover=40.0) == want
+        assert check(chi, 0.3, 1.0, iter(recs), T_cover=40.0) == want
