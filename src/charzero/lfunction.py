@@ -6,10 +6,15 @@ function xi multiplies in the (q/pi)^((s+a)/2) Gamma((s+a)/2) factor, with
 log Gamma from scipy.special.loggamma, and is the object used for
 argument-principle work.
 
-One Euler-Maclaurin kernel, _em_sum, gives a row of zeta(s, a/q) per unit a
-mod q.  Those rows depend on q and s but not on chi, so family_values and
-family_xi evaluate every character of one modulus from one kernel pass, and
-contract the rows with each character's values.  The evaluator for one
+One Euler-Maclaurin kernel, _em_sum, gives a row of
+q^-s (zeta(s, a/q) - 1/(s - 1)) per unit a mod q.  Its main sum runs over the
+m = nq + a (n < N) coprime to q, and it builds their terms m^-s by
+multiplicativity: one exp per prime m, and each composite m as the product
+of the terms of its least prime factor and of its cofactor, in a
+(terms x points) table filled from a plan cached per (q, N).  Those rows
+depend on q and s but not on chi, so family_values and family_xi evaluate
+every character of one modulus from one kernel pass, and contract the rows
+with each character's values.  The evaluator for one
 character, LEvaluator(chi), is the one-character case and has no options:
 `values` gives L with its bounds and `xi_values` gives xi.  The kernel always
 runs Bernoulli terms through B_30, past a shift N that each point sizes for
@@ -25,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +65,8 @@ _BERN_OVER_FACT = {
 _BERN_COEF = np.array([_BERN_OVER_FACT[k] for k in sorted(_BERN_OVER_FACT)])
 
 
-# no kernel temporary holds more than this many complex entries (512 KB)
+# no kernel temporary holds more than this many complex entries (512 KB),
+# unless one point's main-sum table or one point's row of units needs more
 _CHUNK = 1 << 15
 
 
@@ -100,12 +108,25 @@ def _shift_n(s) -> np.ndarray:
 # as a (points x shifts) array.  _em_tail forms the last two lines: the
 # bracket from complex expm1 (its limit -log(N + x) at s = 1), and the
 # Bernoulli sum by Horner's rule in (N + x)^-2 from per-point coefficients,
-# one cumulative product of s + k giving every Pochhammer symbol.  _em_sum,
-# the kernel's one entry point, adds the main sum to them in layers of 8
-# terms, n = 8k .. 8k + 7; a layer covers only the points whose N reaches it.
-# Every temporary is cut to at most _CHUNK entries.  Each point adds its
-# layers to its tail in order of k, and sums along its own entries, never
-# across points, so its value does not depend on the batch it came in.
+# one cumulative product of s + k giving every Pochhammer symbol.
+#
+# _em_sum, the kernel's one entry point, adds the main sum to the tail from
+# a (terms x points) table that a _Plan fixes for one shift N; _terms hands
+# it over in the order of n and then of the shift.  For the shifts a/q over
+# the units a mod q (_modulus_plan, cached per (q, N)) the terms are m^-s
+# over m = nq + a, since (n + a/q)^-s = q^s m^-s, and m -> m^-s is
+# completely multiplicative: a prime m (and m = 1) costs one exp, and any
+# other m is the product of the rows of its least prime factor p and of
+# m / p, both coprime to q.  The table fills level by level in the number of
+# prime factors of m, so both factors are there before their product, one
+# multiplication of gathered rows per level.  Those rows carry q^-s: _em_sum
+# scales the tail by q^-s instead of the main sum by q^s, and _contract
+# needs no final q^-s.  A float shift (_shift_plan) has a plan whose every
+# term is an exp and that has no product step.  A block of points that share
+# N holds at most _CHUNK table entries, or one point's column when that is
+# longer.  Every entry depends on its point and the plan alone, and each
+# point sums its own column in one fixed pairwise order over n, so its value
+# does not depend on the batch it came in.
 
 
 def _em_tail(s: np.ndarray, xs: np.ndarray, N: np.ndarray, B: int):
@@ -147,31 +168,97 @@ def _em_tail(s: np.ndarray, xs: np.ndarray, N: np.ndarray, B: int):
     return rows, bound
 
 
-def _em_sum(s: np.ndarray, xs: np.ndarray, N, B: int):
+class _Plan(NamedTuple):
+    """How _em_sum fills the (terms x points) table at one shift N: rows
+    0 .. len(logs) - 1 by exp, then each step's rows lo .. hi - 1 as the
+    products of rows a and b.  The term of n + xs[j] sits at row
+    order[n len(xs) + j]."""
+
+    logs: np.ndarray
+    steps: tuple  # of (lo, hi, a, b), in order
+    order: np.ndarray
+
+
+@lru_cache(maxsize=128)
+def _modulus_plan(q: int, N: int) -> _Plan:
+    """The plan for the shifts a/q over the units a mod q (a = 1 at q = 1),
+    whose terms are m^-s over the m = nq + a, the m <= Nq coprime to q.  The
+    primes and m = 1 come first, then one step per number of prime factors;
+    each composite m takes the rows of its least prime factor p and of m/p."""
+    top = N * q
+    lpf = np.zeros(top + 1, dtype=np.int64)  # least prime factor; 0 at primes
+    for p in sieve.primes_up_to(math.isqrt(top))[::-1].tolist():
+        lpf[p * p :: p] = p
+    m = np.flatnonzero(np.gcd(np.arange(top + 1), q) == 1)
+    m = m[m > 0]
+    comp = m[lpf[m] > 0]
+    cof = comp // lpf[comp]
+    # number of prime factors: each pass settles the next one up
+    omega = np.ones(top + 1, dtype=np.int64)
+    while not np.array_equal(omega[comp], omega[cof] + 1):
+        omega[comp] = omega[cof] + 1
+    # rows in order of omega, m = 1 with the primes (its term exp(0) is 1);
+    # level k starts at row start[k - 1]
+    by_row = m[np.argsort(omega[m], kind="stable")]
+    row = np.zeros(top + 1, dtype=np.intp)
+    row[by_row] = np.arange(len(by_row))
+    start = np.searchsorted(omega[by_row], np.arange(1, omega[by_row[-1]] + 2)).tolist()
+    steps = []
+    for lo, hi in zip(start[1:], start[2:]):
+        c = by_row[lo:hi]
+        steps.append((lo, hi, row[lpf[c]], row[c // lpf[c]]))
+    logs = np.log(by_row[: start[1]].astype(np.float64))
+    return _Plan(logs, tuple(steps), row[m])
+
+
+def _shift_plan(xs: np.ndarray, N: int) -> _Plan:
+    """The plan for any shifts: every term (n + x)^-s comes from exp."""
+    logs = np.log(np.arange(N)[:, None] + xs).ravel()
+    return _Plan(logs, (), np.arange(len(logs)))
+
+
+def _terms(plan: _Plan, s: np.ndarray) -> np.ndarray:
+    """The plan's (terms x points) table at a 1-D s, in the order of n and
+    then of the shift: row n len(xs) + j holds the term of n + xs[j]."""
+    table = np.empty((len(plan.order), len(s)), dtype=np.complex128)
+    e = table[: len(plan.logs)]
+    np.multiply.outer(plan.logs, -s, out=e)
+    np.exp(e, out=e)
+    for lo, hi, a, b in plan.steps:
+        np.multiply(table.take(a, axis=0), table.take(b, axis=0), out=table[lo:hi])
+    return table.take(plan.order, axis=0)
+
+
+def _em_sum(s: np.ndarray, xs: np.ndarray, N, B: int, q: int | None = None):
     """((points x shifts) array of zeta(s, x) - 1/(s-1), remainder bound per
     point) for a 1-D array s, past a shift N per point (an array, or one int
-    for every point).  Every N must be a positive multiple of 8, as _shift_n
-    gives, so that a layer is either wholly inside a point's main sum or
-    wholly past it.  The bound holds for every row contracted against
+    for every point).  Given a modulus q, xs must be the shifts a/q over the
+    units a mod q, as _character_table gives, and rows and bounds both come
+    scaled by q^-s.  The bound holds for every row contracted against
     weights of modulus at most 1."""
     N = np.broadcast_to(np.asarray(N, dtype=np.int64), s.shape)
-    # largest N first: the points a layer reaches lead the order
-    order = np.argsort(-N, kind="stable")
-    s, N = s[order], N[order]
     rows, bound = _em_tail(s, xs, N, B)
-    width = min(len(xs), max(1, _CHUNK // 8))
-    step = max(1, _CHUNK // (width * 8))
-    for n0 in range(0, int(N[0]) if len(N) else 0, 8):
-        # the layer n0 .. n0 + 7 covers the first hi points, those with N > n0
-        hi = np.count_nonzero(N > n0)
-        for u0 in range(0, len(xs), width):
-            lc = -np.log(np.arange(n0, n0 + 8) + xs[u0 : u0 + width, None]).ravel()
-            for p in range(0, hi, step):
-                e = min(p + step, hi)
-                terms = np.exp(np.multiply.outer(s[p:e], lc))
-                rows[p:e, u0 : u0 + width] += terms.reshape(e - p, -1, 8).sum(axis=-1)
-    back = np.argsort(order)
-    return rows[back], bound[back]
+    if q is not None:
+        qfac = np.exp(-s * math.log(q))
+        rows = qfac[:, None] * rows
+        bound = bound * np.abs(qfac)
+    u = len(xs)
+    for n in np.unique(N).tolist():
+        at = np.flatnonzero(N == n)
+        plan = _modulus_plan(q, n) if q is not None else _shift_plan(xs, n)
+        step = max(1, _CHUNK // (n * u))
+        for lo in range(0, len(at), step):
+            idx = at[lo : lo + step]
+            # each point's sum over n, by folding the upper half of the
+            # remaining n onto the lower half (a fixed pairwise order)
+            terms = _terms(plan, s[idx]).reshape(n, u, len(idx))
+            k = n
+            while k > 1:
+                h = k // 2
+                terms[:h] += terms[k - h : k]
+                k -= h
+            rows[idx] += terms[0].T
+    return rows, bound
 
 
 def hurwitz_zeta(s: complex, a: float):
@@ -245,21 +332,14 @@ def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, pick=None
     step = max(1, _CHUNK // max(len(xs), _BERNOULLI + 2))
     for lo in range(0, len(s), step):
         blk = s[lo : lo + step]
-        rows, bounds[lo : lo + step] = _em_sum(blk, xs, _shift_n(blk), _BERNOULLI)
+        rows, bounds[lo : lo + step] = _em_sum(blk, xs, _shift_n(blk), _BERNOULLI, q)
         # with pick, one row: each point's own table row, gathered
         tables = table if pick is None else [table[pick[lo : lo + step]]]
         for j, weights in enumerate(tables):
             vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
         del rows  # free this block's rows before the next block's kernel
     if principal.any():
-        vals[principal] += sieve.euler_phi(q) / (s - 1.0)
-    if q > 1:
-        # row by row and never in place: numpy's in-place complex product
-        # rounds differently for long and short arrays
-        qfac = np.exp(-s * math.log(q))
-        for j in range(len(vals)):
-            vals[j] = qfac * vals[j]
-        bounds *= np.abs(qfac)
+        vals[principal] += sieve.euler_phi(q) * np.exp(-s * math.log(q)) / (s - 1.0)
     return vals, bounds
 
 

@@ -181,8 +181,13 @@ def hardy_z(chars, t):
     the complex values are returned so that their rounding can be checked.
     """
     chars = list(chars)
+    return _hardy_z(chars, t, _root_eps(chars))
+
+
+def _hardy_z(chars, t, root_eps) -> np.ndarray:
+    """hardy_z with each character's eps^(1/2) given, as _root_eps forms it."""
     s = 0.5 + 1j * np.asarray(t, dtype=np.float64)
-    return family_xi(chars, s) / _root_eps(chars)[:, None]
+    return family_xi(chars, s) / root_eps[:, None]
 
 
 def _root_eps(chars) -> np.ndarray:
@@ -192,10 +197,11 @@ def _root_eps(chars) -> np.ndarray:
     )
 
 
-def _refine_on_line(chars, rows, a, b, za, zb):
+def _refine_on_line(chars, root_eps, rows, a, b, za, zb):
     """Roots of the real Z in the brackets [a_i, b_i] of chars[rows_i], za and
     zb of opposite signs (float arrays, updated in place), by the Illinois
-    method.  One kernel pass per step serves every bracket, and each bracket's
+    method; root_eps holds each character's eps^(1/2), as _root_eps forms
+    it.  One kernel pass per step serves every bracket, and each bracket's
     point is contracted with its own character alone (lfunction._paired_xi);
     Z there equals hardy_z's value bit for bit.
 
@@ -203,7 +209,6 @@ def _refine_on_line(chars, rows, a, b, za, zb):
     new point; each root is the end with the smaller |Z|.
     """
     kept = np.zeros(len(a), dtype=int)  # end kept last step: -1 a, +1 b, 0 none
-    root_eps = _root_eps(chars)
     for _ in range(_FINDER_CAP):
         live = np.nonzero(b - a > _GAMMA_TOL)[0]
         if not live.size:
@@ -274,6 +279,10 @@ def _locate(chars, rect: Rectangle, spacing: float) -> list:
             f"winding count is {targets[todo[0]]} in a box off the critical line "
             f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
         )
+    # every root number once, for the characters the line scan and the finder
+    # both use: a family larger than gauss_sum's cache would evict its own
+    root_eps = np.ones(len(chars), dtype=np.complex128)
+    root_eps[todo] = _root_eps([chars[i] for i in todo])
     found = {}  # character index -> (a, b, Z(a), Z(b)) of its brackets
     for k in range(_HALVINGS + 1):
         if not todo:
@@ -281,7 +290,8 @@ def _locate(chars, rect: Rectangle, spacing: float) -> list:
         n = max(1, math.ceil((rect.t2 - rect.t1) / (spacing / 2**k)))
         ts = np.linspace(rect.t1, rect.t2, n + 1)
         missed = []  # (character index, sign changes) of the rows to rescan
-        for i, z in zip(todo, hardy_z([chars[i] for i in todo], ts).real):
+        z_rows = _hardy_z([chars[i] for i in todo], ts, root_eps[todo]).real
+        for i, z in zip(todo, z_rows):
             # a scan point where Z is exactly 0 makes the scan a miss
             sign = np.sign(z)
             lo = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
@@ -305,7 +315,7 @@ def _locate(chars, rect: Rectangle, spacing: float) -> list:
     family = [chars[i] for i in located]
     rows = np.concatenate([np.full(len(found[i][0]), j) for j, i in enumerate(located)])
     ends = (np.concatenate(v) for v in zip(*(found[i] for i in located)))
-    gammas = _refine_on_line(family, rows, *ends)
+    gammas = _refine_on_line(family, root_eps[located], rows, *ends)
     lvals, _ = family_values(family, 0.5 + 1j * gammas)
     for g, r, j in zip(gammas, np.abs(lvals[rows, np.arange(len(rows))]), rows):
         records[located[j]].append(

@@ -74,7 +74,7 @@ def test_error_bound_honesty():
 def test_one_kernel_configuration_and_window():
     # one shift rule and one Bernoulli depth serve every entry point.  Each
     # point's N is the least multiple of 8 (at least 8) whose per-unit
-    # remainder bound |B_22/22!| |(s)_22| N^-(sigma+21) / (sigma+21) meets
+    # remainder bound |B_32/32!| |(s)_32| N^-(sigma+31) / (sigma+31) meets
     # the target
     rng = np.random.default_rng(20261101)
     pts = rng.uniform(-1, 3, 200) + 1j * rng.uniform(-50, 50, 200)
@@ -102,6 +102,51 @@ def test_one_kernel_configuration_and_window():
     with pytest.raises(WindowError) as err:
         lfunction.LEvaluator(CHI4).values(4.0 + 0j)
     assert str(err.value) == msg
+
+
+def test_kernel_terms_match_direct_powers():
+    # for every q <= 200 and every shift N the window needs, the main-sum
+    # terms built by multiplicativity (one exp per prime m, one product per
+    # composite m) agree with exp(-s log m) at every m = nq + a within
+    # 8 eps (1 + |s| log m) relative: both sides round -s log m, and each
+    # product adds the rounding of its factors and its own
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20261020)
+    sig, t = np.meshgrid(np.linspace(-1, 3, 9), np.linspace(-50, 50, 21))
+    n_max = int(lfunction._shift_n((sig + 1j * t).ravel()).max())
+    assert n_max >= 40
+    for q in range(1, 201):
+        units = np.array([a for a in range(1, q + 1) if math.gcd(a, q) == 1])
+        for n in range(8, n_max + 1, 8):
+            s = rng.uniform(-1, 3, 3) + 1j * rng.uniform(-50, 50, 3)
+            table = lfunction._terms(lfunction._modulus_plan(q, n), s)
+            m = (np.arange(n)[:, None] * q + units).ravel()
+            ref = np.exp(-np.multiply.outer(np.log(m), s))
+            tol = 8 * eps * (1 + np.abs(s) * np.log(m)[:, None]) * np.abs(ref)
+            assert np.all(np.abs(table - ref) <= tol), (q, n)
+
+
+def test_hurwitz_matches_family_rows():
+    # hurwitz_zeta(s, a/q), whose terms are all exps, against the family
+    # path's row for each unit a, which carries q^-s: they agree within both
+    # remainder bounds plus 4 eps (1 + |s| log Nq) times the sum of the
+    # main-sum terms' moduli
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20261021)
+    for q in (1, 2, 12, 60, 97, 128, 200):
+        xs, _ = lfunction._character_table([dirichlet.principal_character(q)])
+        s = rng.uniform(-1, 3, 2) + 1j * rng.uniform(-50, 50, 2)
+        N = lfunction._shift_n(s)
+        rows, bound = lfunction._em_sum(s, xs, N, lfunction._BERNOULLI, q)
+        for i, pt in enumerate(s):
+            qfac = np.exp(-pt * math.log(q))
+            for j, x in enumerate(xs):
+                val, b = lfunction.hurwitz_zeta(pt, x)
+                m = np.arange(N[i]) * q + round(x * q)
+                size = np.sum(m ** -pt.real)
+                slack = 4 * eps * (1 + abs(pt) * math.log(N[i] * q)) * size
+                err = abs(rows[i, j] - qfac * (val - 1 / (pt - 1)))
+                assert err <= bound[i] + abs(qfac) * b + slack, (q, pt, x)
 
 
 def test_l_known_values():
@@ -152,7 +197,7 @@ def test_l_conjugation_symmetry():
 def test_values_batch_spanning_chunks_matches_pointwise():
     rng = np.random.default_rng(20261018)
     s = rng.uniform(-1, 3, 400) + 1j * rng.uniform(-20, 20, 400)
-    for q, conrey in ((101, 2), (5, 2), (23, 5)):
+    for q, conrey in ((101, 2), (5, 2), (23, 5), (60, 7)):
         chi = dirichlet.character(q, conrey)
         ev = lfunction.LEvaluator(chi)
         if q == 101:
@@ -179,7 +224,7 @@ def test_values_independent_of_batch():
     rng = np.random.default_rng(20261102)
     s = rng.uniform(-1, 3, 60) + 1j * rng.uniform(-50, 50, 60)
     s = np.concatenate([[0.5 + 5j, 0.5 + 40j], s])
-    for q, conrey in ((7, 3), (23, 5)):
+    for q, conrey in ((7, 3), (23, 5), (60, 7)):
         chi = dirichlet.character(q, conrey)
         ev = lfunction.LEvaluator(chi)
         vals, bounds = ev.values(s)

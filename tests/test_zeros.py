@@ -190,7 +190,7 @@ def test_locate_zeros_empty_box_skips_scan(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("scanned an empty box")
 
-    monkeypatch.setattr(zeros, "hardy_z", fail)
+    monkeypatch.setattr(zeros, "_hardy_z", fail)
     for chi in (CHI4, dirichlet.character(51, 2)):
         for rect in (
             zeros.Rectangle(0.75, 1.0, -0.25, 0.25),
@@ -275,13 +275,13 @@ def test_critical_line_matches_mpmath_findroot():
 
 def test_coarse_line_scan_falls_back(monkeypatch):
     calls = []
-    hardy_z = zeros.hardy_z
+    hardy_z = zeros._hardy_z
 
-    def counting(chi, t):
+    def counting(chi, t, root_eps):
         calls.append(np.size(t))
-        return hardy_z(chi, t)
+        return hardy_z(chi, t, root_eps)
 
-    monkeypatch.setattr(zeros, "hardy_z", counting)
+    monkeypatch.setattr(zeros, "_hardy_z", counting)
     rect = zeros.Rectangle(0, 1, 0, 20)
     # five points 5 apart miss most of the five sign changes; nine points
     # 2.5 apart catch them all
@@ -295,13 +295,13 @@ def test_coarse_line_scan_falls_back(monkeypatch):
 
 def test_count_mismatch_on_line_raises_after_last_halving(monkeypatch):
     scans = []
-    hardy_z, count_family = zeros.hardy_z, zeros.count_zeros_family
+    hardy_z, count_family = zeros._hardy_z, zeros.count_zeros_family
 
-    def recording(chars, t):
+    def recording(chars, t, root_eps):
         scans.append(np.size(t))
-        return hardy_z(chars, t)
+        return hardy_z(chars, t, root_eps)
 
-    monkeypatch.setattr(zeros, "hardy_z", recording)
+    monkeypatch.setattr(zeros, "_hardy_z", recording)
     # one zero more than the line holds: no halving can account for it
     monkeypatch.setattr(
         zeros, "count_zeros_family", lambda chars, r: [n + 1 for n in count_family(chars, r)]
@@ -319,7 +319,7 @@ def test_off_line_nonzero_count_raises_without_scan(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("scanned the line of a box that does not straddle it")
 
-    monkeypatch.setattr(zeros, "hardy_z", fail)
+    monkeypatch.setattr(zeros, "_hardy_z", fail)
     monkeypatch.setattr(zeros, "count_zeros_family", lambda chars, rect: [1] * len(chars))
     rect = zeros.Rectangle(0.75, 1.0, -0.25, 0.25)
     with pytest.raises(CountMismatchError, match=r"winding count is 1 .*q=4, conrey=3"):
@@ -330,7 +330,7 @@ def test_off_line_box_never_calls_hardy_z(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("scanned the line of a box that does not straddle it")
 
-    monkeypatch.setattr(zeros, "hardy_z", fail)
+    monkeypatch.setattr(zeros, "_hardy_z", fail)
     for chi in (CHI4, dirichlet.character(51, 2)):
         assert zeros.locate_zeros(chi, zeros.Rectangle(0.75, 1.0, -2.0, 2.0)) == []
 
@@ -408,14 +408,14 @@ def test_family_count_names_unusable_character(monkeypatch):
 
 def test_locate_family_matches_per_character(monkeypatch):
     calls = []
-    hardy_z, count_family = zeros.hardy_z, zeros.count_zeros_family
+    hardy_z, count_family = zeros._hardy_z, zeros.count_zeros_family
 
-    def recording(chars, t):
+    def recording(chars, t, root_eps):
         t = np.atleast_1d(t)
         calls.append((len(chars), t[0] == rect.t1 and t[-1] == rect.t2))
-        return hardy_z(chars, t)
+        return hardy_z(chars, t, root_eps)
 
-    monkeypatch.setattr(zeros, "hardy_z", recording)
+    monkeypatch.setattr(zeros, "_hardy_z", recording)
     rect = zeros.Rectangle(0, 1, 0, 20)
     partial = 0
     for q in (5, 23, 24, 51):
@@ -443,6 +443,20 @@ def test_locate_family_matches_per_character(monkeypatch):
     want = rf"winding count is \d+ \(q=23, conrey={bad.conrey},"
     with pytest.raises(CountMismatchError, match=want):
         zeros.locate_zeros_family(family, rect)
+
+
+def test_locate_forms_each_root_number_once():
+    # the line scans and the root finder share one eps^(1/2) per located
+    # character, so a family larger than gauss_sum's cache cannot evict its
+    # own sums; the characters with an empty box need none
+    family = dirichlet.enumerate_characters(97, primitive_only=True)
+    dirichlet.gauss_sum.cache_clear()
+    rows = zeros.locate_zeros_family(family, zeros.Rectangle(0, 1, 0, 2))
+    located = sum(1 for recs in rows if recs)
+    assert 0 < located < len(family)
+    info = dirichlet.gauss_sum.cache_info()
+    assert info.misses <= located
+    assert info.hits + info.misses == located
 
 
 def test_zero_identities_read_a_generator_like_a_list():
