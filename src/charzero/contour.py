@@ -1,10 +1,11 @@
-"""Winding numbers along rectangle boundaries by continuous-argument tracking.
+"""Winding numbers along polygon boundaries by continuous-argument tracking.
 
 A tracked function maps an array of n points to n values, or to a (k x n)
 array: k functions tracked together on the same points, refined wherever
-any of them needs it.  It is called once for the first mesh of every edge of
-a path and once per refinement round for the new points of every edge, so a
-closed count costs 1 + (refinement rounds) calls.
+any of them needs it.  arg_change keeps one mesh per path (each point's edge
+and parameter t on it, and one value array) and calls the function once for
+the first mesh and once per refinement round, so a closed count costs
+1 + (refinement rounds) calls.
 """
 from __future__ import annotations
 
@@ -18,91 +19,57 @@ _MAX_REFINE = 24
 _STEP_CAP = math.pi / 4
 
 
-def _evaluate(func, pieces):
-    """func at every array of points in `pieces`, from one call: a list of
-    (rows x len(piece)) arrays, one per piece, and whether func is 1-D."""
-    out = np.asarray(func(np.concatenate(pieces)))
-    vals = out.reshape(-1, out.shape[-1]).copy()  # _screen writes to it
-    cuts = np.cumsum([len(p) for p in pieces[:-1]])
-    return np.split(vals, cuts, axis=1), out.ndim == 1
-
-
-def _screen(vals: list, fails: list, edges) -> None:
-    """Record in fails[e] (row -> reason), for each edge e in `edges`, each
-    row of vals[e] that is not finite or passes within 1e-280 of zero.  Then
-    set to 1, on every edge, each row that failed on it or an earlier edge,
-    so that it turns no argument and asks for no refinement there."""
-    for e in edges:
-        for reason, hit in (
-            ("function not finite on the contour", ~np.isfinite(vals[e]).all(axis=1)),
-            ("contour passes through a zero", (np.abs(vals[e]) < 1e-280).any(axis=1)),
-        ):
-            for i in np.nonzero(hit)[0]:
-                fails[e].setdefault(int(i), reason)
-    seen = set()
-    for v, failed in zip(vals, fails):
-        seen.update(failed)
-        if seen:
-            v[list(seen)] = 1.0
-
-
 def arg_change(func, path, points_per_unit: float = 20.0):
     """Total change of arg func along the open polyline through `path`.
 
     func must accept a complex ndarray.  A 1-D func gives a float, and
     ContourError if its values are not finite, pass within 1e-280 of zero or
     do not settle.  A (k x n) func gives a length-k array, NaN in each row
-    that fails so; a row that fails on several edges is reported by the
-    first of them.
+    that fails so; a row is reported by its first failure along the path and
+    is then set to 1 on the whole path, so that it turns no argument and
+    asks for no refinement.
 
-    One call of func evaluates the first mesh of every edge, and each
-    refinement round one more: the midpoints of every gap in which some row
-    still steps by pi/4 or more, on every edge at once.  A row still that
+    Each edge keeps both of its ends, so a corner is evaluated twice and the
+    zero-length gap between its copies turns no argument.  Each refinement
+    round evaluates, in one call of func, the midpoints of every gap of the
+    mesh in which some row still steps by pi/4 or more.  A row still that
     steep after the last round fails.
     """
-    ends = list(zip(path[:-1], path[1:]))
-
-    def points(e, t):
-        a, b = ends[e]
-        return a + (b - a) * t
-
-    ts = [
-        np.linspace(0.0, 1.0, int(math.ceil(abs(b - a) * points_per_unit)) + 4)
-        for a, b in ends
-    ]
-    vals, flat = _evaluate(func, [points(e, t) for e, t in enumerate(ts)])
-    fails = [{} for _ in ends]
-    _screen(vals, fails, range(len(ends)))
-    d, steep = [None] * len(ends), [None] * len(ends)
-    todo = range(len(ends))  # the edges whose values changed
+    a = np.array(path[:-1], dtype=complex)
+    ab = np.array(path[1:], dtype=complex) - a
+    sizes = [int(math.ceil(abs(x) * points_per_unit)) + 4 for x in ab]
+    edge = np.repeat(np.arange(len(sizes)), sizes)
+    t = np.concatenate([np.linspace(0.0, 1.0, n) for n in sizes])
+    out = np.asarray(func(a[edge] + ab[edge] * t))
+    vals = out.reshape(-1, out.shape[-1]).copy()  # failed rows are overwritten
+    failed = {}
     for attempt in range(_MAX_REFINE):
-        gaps = {}
-        for e in todo:
-            d[e] = np.angle(vals[e][:, 1:] / vals[e][:, :-1])
-            steep[e] = np.abs(d[e]) >= _STEP_CAP
-            g = np.nonzero(steep[e].any(axis=0))[0]
-            if g.size:
-                gaps[e] = g
-        if not gaps or attempt == _MAX_REFINE - 1:
+        not_finite = ~np.isfinite(vals)
+        bad = not_finite | (np.abs(vals) < 1e-280)
+        rows = np.nonzero(bad.any(axis=1))[0]
+        for i, first in zip(rows, bad[rows].argmax(axis=1)):
+            failed[int(i)] = (
+                "function not finite on the contour"
+                if not_finite[i, first]
+                else "contour passes through a zero"
+            )
+        vals[rows] = 1.0
+        d = np.angle(vals[:, 1:] / vals[:, :-1])
+        steep = np.abs(d) >= _STEP_CAP
+        g = np.nonzero(steep.any(axis=0))[0]
+        if not g.size or attempt == _MAX_REFINE - 1:
             break
-        mids = {e: 0.5 * (ts[e][g] + ts[e][g + 1]) for e, g in gaps.items()}
-        new, _ = _evaluate(func, [points(e, m) for e, m in mids.items()])
-        for (e, g), v in zip(gaps.items(), new):
-            ts[e] = np.insert(ts[e], g + 1, mids[e])
-            vals[e] = np.insert(vals[e], g + 1, v, axis=1)
-        _screen(vals, fails, gaps)
-        todo = list(gaps)
-    total, failed = 0.0, {}
-    for e in range(len(ends)):
-        for i in np.nonzero(steep[e].any(axis=1))[0]:
-            fails[e].setdefault(int(i), "argument tracking failed to settle")
-        for i, reason in fails[e].items():
-            failed.setdefault(i, reason)
-        total = total + d[e].sum(axis=1)
-    if flat:
+        mid = 0.5 * (t[g] + t[g + 1])
+        new = np.asarray(func(a[edge[g]] + ab[edge[g]] * mid))
+        t, edge = np.insert(t, g + 1, mid), np.insert(edge, g + 1, edge[g])
+        vals = np.insert(vals, g + 1, new.reshape(len(vals), -1), axis=1)
+    for i in np.nonzero(steep.any(axis=1))[0]:
+        failed[int(i)] = "argument tracking failed to settle"
+    total = d.sum(axis=1)
+    if out.ndim == 1:
         if failed:
             raise ContourError(failed[0])
-        return float(np.sum(total))
+        return float(total[0])
     total[list(failed)] = math.nan
     return total
 

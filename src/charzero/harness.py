@@ -68,8 +68,8 @@ class ScenarioConfig:
             raise DomainError(f"unknown selector {self.selector!r}")
         if not (2 <= self.q_min <= self.q_max):
             raise DomainError("modulus range must satisfy 2 <= q_min <= q_max")
-        if self.eps <= 0:
-            raise DomainError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise DomainError("eps must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -231,11 +231,12 @@ def nonresidue_census(q: int, u: float, constants: Constants | None = None) -> C
     if not sieve.is_prime(q) or q == 2:
         raise DomainError("q must be an odd prime")
     c = constants or Constants()
+    density = spectral.nonresidue_density_lower_bound(u)  # checks u first
     x = q ** (u / 4.0)
     n = int(math.floor(x))
     mask = _square_mask(q)
     count = int(np.count_nonzero(~mask[1 : n + 1]))
-    bound = spectral.nonresidue_density_lower_bound(u) * x
+    bound = density * x
     return CensusReport(
         q=q,
         u=u,
@@ -287,7 +288,7 @@ def product_large_sum_search(
     and the triangle-inequality bound M <= (D_1 + D_2)^2 at X = min(x1,x2)
     drive the witness scan.
     """
-    if eta <= 0 or eta > 1:
+    if not 0 < eta <= 1:
         raise DomainError("eta must lie in (0, 1]")
     c = constants or Constants()
     m1 = abs(multfn.mean_value(f1, x1))
@@ -359,7 +360,7 @@ def power_large_sum_search(
     inequality; target scale eta^{2k^2}."""
     if k < 1:
         raise DomainError("k must be a positive integer")
-    if eta <= 0 or eta > 1:
+    if not 0 < eta <= 1:
         raise DomainError("eta must lie in (0, 1]")
     c = constants or Constants()
     m = abs(multfn.mean_value(f, x))

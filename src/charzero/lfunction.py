@@ -521,7 +521,8 @@ def explicit_formula_balance(
         zero_sum += ((1.0 + lam - beta) / abs(s0 - (beta + 1j * gamma)) ** 2)
     tail = 2.0 * (1.0 + lam) * _density_tail(q, abs(t), T_cover)
     rhs = 0.5 * math.log(q * (1.0 + abs(t))) - zero_sum
-    mang_value, _, _ = von_mangoldt_series(lam, n_max)
+    # von_mangoldt_series(lam, n_max)[0], from the Lambda table built above
+    mang_value = float(np.sum(lamarr * n ** (-1.0 - lam))) + lhs_tail
     return BalanceReport(
         s0=s0,
         lhs=lhs,

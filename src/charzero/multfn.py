@@ -19,6 +19,13 @@ DEFAULT_FUNCTION_LIMIT = 10**7
 _SIEVE_CHUNK = 1 << 14  # large-prime multiples gathered at once by values_at
 
 
+def _floor(x) -> int:
+    """floor(x) as an int; DomainError unless x is finite."""
+    if not math.isfinite(x):
+        raise DomainError(f"need a finite x, got {x}")
+    return int(math.floor(x))
+
+
 class CompletelyMultiplicativeFunction:
     """Base: values determined by unimodular-or-zero data on primes.
 
@@ -80,7 +87,7 @@ class CompletelyMultiplicativeFunction:
         return vals
 
     def _check_range(self, x) -> int:
-        n = int(math.floor(x))
+        n = _floor(x)
         if n < 1:
             raise DomainError("need x >= 1")
         if n > self.limit:
@@ -108,6 +115,8 @@ class ArchimedeanTwist(CompletelyMultiplicativeFunction):
     """f(n) = n^{i alpha}."""
 
     def __init__(self, alpha: float):
+        if not math.isfinite(alpha):
+            raise DomainError(f"ntoi needs a finite alpha, got {alpha}")
         self.alpha = float(alpha)
         self.label = f"ntoi:{self.alpha:g}"
 
@@ -227,7 +236,7 @@ def mean_value(f: CompletelyMultiplicativeFunction, x) -> complex:
 
 def distance_sq(f, g, x) -> float:
     """Sum over p <= x of (1 - Re f(p) conj g(p))/p; terms clamped to >= 0."""
-    n = int(math.floor(x))
+    n = _floor(x)
     if n > f.limit or n > g.limit:
         raise SieveLimitError("x exceeds a function limit")
     if f is g:
@@ -264,7 +273,7 @@ def euler_product_F(f, s: complex, x) -> complex:
     s = complex(s)
     if s.real <= 1:
         raise DomainError("Euler product needs Re s > 1")
-    ps = sieve.primes_up_to(int(math.floor(x)))
+    ps = sieve.primes_up_to(_floor(x))
     z = f.prime_values(ps) * np.exp(-s * np.log(ps.astype(np.float64)))
     return complex(np.exp(-np.sum(np.log(1.0 - z))))
 
@@ -406,7 +415,7 @@ def find_phi_and_M(f, x) -> HalaszData:
     are re-evaluated directly and the maximum taken over those exact values.
     Ties broken by smallest |t|, then by negative t.
     """
-    n = int(math.floor(x))
+    n = _floor(x)
     if n < 2:
         raise DomainError("need x >= 2")
     if n > f.limit:

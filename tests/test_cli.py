@@ -223,6 +223,27 @@ def test_bad_config_value_exits_2(capsys, tmp_path):
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "abs_c" in err and value in err
 
+
+def test_non_finite_value_exits_2(capsys):
+    cases = [
+        (["distance", "--f", "one", "--g", "char:5.4", "--x", "inf"], "finite x"),
+        (["halasz", "--f", "one", "--x", "inf"], "finite x"),
+        (["product-search", "--f1", "one", "--x1", "inf", "--eta", "0.5", "--k", "2"],
+         "finite x"),
+        (["census", "--q", "101", "--u", "inf"], "u must lie"),
+        (["audit-corollary", "--q-min", "3", "--q-max", "5", "--eps", "inf"], "eps"),
+        (["product-search", "--f1", "one", "--x1", "2000", "--eta", "nan", "--k", "2"],
+         "eta"),
+        (["product-search", "--f1", "one", "--x1", "2000", "--f2", "one", "--x2", "2000",
+          "--eta", "nan"], "eta"),
+        (["halasz", "--f", "ntoi:nan", "--x", "1000"], "finite alpha"),
+    ]
+    for argv, reason in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, argv
+        assert reason in err, (argv, err)
+
 def test_seed_flag_exits_2(capsys):
     for argv in (["--seed", "7", "constants"], ["--threads", "4", "constants"]):
         code, out, err = run(capsys, argv)

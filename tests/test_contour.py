@@ -124,3 +124,20 @@ def test_one_call_per_refinement_round():
         sizes.clear()
         assert winding_number(counted(f), SQUARE, points_per_unit=2.0) == count
         assert len(sizes) == 3 and sizes[:2] == [4 * 8, 4 * 7]
+
+
+def test_failed_row_asks_for_no_refinement():
+    sizes = []
+
+    # row 1 is z^8, which needs refinement at 2 points per unit, but it is
+    # NaN on part of the last edge: once it fails it is dead on the whole
+    # path, so the first mesh of 4 * 8 points is the only call
+    def f(z):
+        sizes.append(len(z))
+        row = z**8
+        row[(z.real == -1) & (-1 < z.imag) & (z.imag < 0)] = np.nan
+        return np.array([z - 5, row])
+
+    turns = arg_change(f, SQUARE + [SQUARE[0]], points_per_unit=2.0)
+    assert sizes == [4 * 8]
+    assert turns[0] == pytest.approx(0.0, abs=1e-12) and np.isnan(turns[1])

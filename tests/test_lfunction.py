@@ -201,10 +201,19 @@ def test_values_batch_spanning_chunks_matches_pointwise():
         chi = dirichlet.character(q, conrey)
         ev = lfunction.LEvaluator(chi)
         if q == 101:
-            # every point shares N = 50: 5000 terms and 100 shifts per point
-            terms, shifts = 50 * (q - 1), q - 1
-            assert len(s) > 2 * (lfunction._CHUNK // terms)
-            assert len(s) > lfunction._CHUNK // shifts
+            # 100 shifts per point: the batch spans two _contract blocks of
+            # 327 points.  In the first, _shift_n gives N = 8, 16 and 24 (10,
+            # 291 and 26 points); the N = 16 and 24 groups each span more
+            # than one _em_sum block of _CHUNK // (100 N) points, and the
+            # N = 8 group fits in one block of 40
+            step = lfunction._CHUNK // (q - 1)
+            assert len(s) > step
+            N = lfunction._shift_n(s[:step])
+            spans = {
+                int(n): np.count_nonzero(N == n) > lfunction._CHUNK // (n * (q - 1))
+                for n in np.unique(N)
+            }
+            assert spans == {8: False, 16: True, 24: True}
         vals, bounds = ev.values(s)
         for pt, val, bnd in zip(s, vals, bounds):
             assert ev.values(complex(pt)) == (val, bnd)
