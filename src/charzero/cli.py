@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", required=True, help="sigma1,sigma2,t1,t2")
     p.add_argument(
         "--spacing", type=float, default=0.05,
-        help="starting step of the line scan; halved on a count mismatch",
+        help="starting step of the sign scan of Z's interpolants; halved on a "
+        "count mismatch",
     )
     p.set_defaults(func=_cmd_zeros)
 

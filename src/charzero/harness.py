@@ -70,6 +70,8 @@ class ScenarioConfig:
             raise DomainError("modulus range must satisfy 2 <= q_min <= q_max")
         if not 0 < self.eps < math.inf:
             raise DomainError("eps must be finite and positive")
+        if not 0 < self.T < math.inf:
+            raise DomainError("T must be finite and positive")
 
 
 @dataclass(frozen=True)

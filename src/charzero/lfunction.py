@@ -311,21 +311,19 @@ def _character_table(chars) -> tuple[np.ndarray, np.ndarray]:
     return xs, dirichlet._unit_values(chars)
 
 
-def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, pick=None):
+def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray):
     """((k x points) L values, bound per point) at a window-checked 1-D s.
 
     The kernel rows are built once for all k characters, a block of points
     at a time, and each character's row is contracted with its table row by
     a per-point sum in a fixed order: a value does not depend on which other
-    characters or points share the call.  Given `pick`, one index per point
-    into the nonprincipal chars, point i is contracted with chars[pick[i]]
-    alone and the values come back as one row, (1 x points).
+    characters or points share the call.
     """
     principal = np.array([chi.is_principal for chi in chars])
     if principal.any() and np.any(s == 1.0):
         raise PoleError("principal character: L has a pole at s = 1")
     q = chars[0].q
-    vals = np.empty((len(chars) if pick is None else 1, len(s)), dtype=np.complex128)
+    vals = np.empty((len(chars), len(s)), dtype=np.complex128)
     bounds = np.empty(len(s))
     # a block's kernel rows and its tail's table of _BERNOULLI + 2
     # Pochhammer products per point each fit in _CHUNK entries
@@ -333,9 +331,7 @@ def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, pick=None
     for lo in range(0, len(s), step):
         blk = s[lo : lo + step]
         rows, bounds[lo : lo + step] = _em_sum(blk, xs, _shift_n(blk), _BERNOULLI, q)
-        # with pick, one row: each point's own table row, gathered
-        tables = table if pick is None else [table[pick[lo : lo + step]]]
-        for j, weights in enumerate(tables):
+        for j, weights in enumerate(table):
             vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
         del rows  # free this block's rows before the next block's kernel
     if principal.any():
@@ -389,25 +385,6 @@ def family_xi(chars, s) -> np.ndarray:
         for j, chi in enumerate(chars):
             lvals[j] = pref[chi.parity] * lvals[j]
     return lvals
-
-
-def _paired_xi(chars, pick, s) -> np.ndarray:
-    """xi of chars[pick[i]] at s[i] for each point i, equal bit for bit to
-    family_xi(chars, s)[pick[i], i], with each point contracted with its
-    own character's table alone."""
-    chars = list(chars)
-    _require_xi(chars)
-    s = np.asarray(s, dtype=np.complex128).ravel()
-    WINDOW.validate(s)
-    xs, table = _character_table(chars)
-    lvals, _ = _contract(chars, xs, table, s, pick)
-    parity = np.array([chi.parity for chi in chars])[pick]
-    pref = np.empty_like(s)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for a in set(parity.tolist()):
-            on = parity == a
-            pref[on] = _gamma_factor(chars[0].q, a, s[on])
-        return pref * lvals[0]
 
 
 class LEvaluator:

@@ -6,18 +6,24 @@ is counted from its right half through the functional equation.  Counting
 and locating both serve the characters of one modulus together, one xi
 evaluation per point for them all (count_zeros_family, locate_zeros_family);
 count_zeros and locate_zeros are the one-character cases.  Locating has one
-route, "critical-line": on a box that meets Re s = 1/2, the sign changes of
-the real Hardy function Z(t) are counted at the scan spacing, halved up to
-_HALVINGS times until they number the winding count.  Then every zero is
-simple and on the line, and each is refined on the line by a bracketing
-root finder (beta = 1/2 exactly).  A count the line cannot account for is a
-CountMismatchError, never a second search.  Every box must lie in the
-evaluator's fixed window, lfunction.WINDOW.
+route, "critical-line": on a box that meets Re s = 1/2, the real Hardy
+function Z(t) of every character with a nonzero count is sampled in one
+kernel call at the Chebyshev nodes of fixed panels along the box's piece of
+the line, and each panel becomes an interpolant (halved and sampled again
+where its Chebyshev tail is not small).  The interpolants' sign changes are
+counted at the scan spacing, halved up to _HALVINGS times until they number
+the winding count.  Then every zero is simple and on the line, and each is
+solved on its interpolant by safeguarded Newton (beta = 1/2 exactly), with
+no further kernel call but the one residual read at the roots.  A count the
+line cannot account for is a CountMismatchError, never a second search.
+Every box must lie in the evaluator's fixed window, lfunction.WINDOW.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +39,6 @@ from .lfunction import (
     WINDOW,
     LEvaluator,
     _density_tail,
-    _paired_xi,
     family_values,
     family_xi,
 )
@@ -44,10 +49,26 @@ _PERTURB = 1.37e-4
 # From step 1.0, every primitive chi with q <= 50 on [0, 20] matches within
 # 2 halvings; a mismatch that survives 6 costs at most 127 first scans
 _HALVINGS = 6
-# the critical-line root finder: bracket width at which a root is settled,
-# and the step cap past which it raises
+# Z's interpolants: panels at most _PANEL long with _NODES first-kind
+# Chebyshev nodes on a whole panel (a shorter panel scales the count to its
+# length, but takes at least _MIN_NODES).  There, over every primitive chi
+# with q <= 50 on [0, 20], the last two coefficients stay within 4.8e-15 of
+# the largest, the rounding floor of Z's values (at most 1.5e-14 up to
+# q = 2003 and t = 50, where halving a panel no longer lowers them).
+# _TAIL_TOL sits about 100 times above that floor; a panel past it is
+# halved, each half with the same node count, at most _SPLITS times
+_PANEL = 4.0
+_NODES = 48
+_MIN_NODES = 16
+_TAIL_TOL = 1e-12
+_SPLITS = 4
+# temporaries of the interpolants' DCT and evaluation hold at most this many
+# entries, unless one panel's or one point's row needs more
+_EVAL_CHUNK = 1 << 16
+# Newton on an interpolant: the step or bracket width at which a root is
+# settled, and the step cap past which it raises
 _GAMMA_TOL = 1e-13
-_FINDER_CAP = 60
+_NEWTON_CAP = 30
 # C in the smoothed bound |L(1 - lam + it)| <= C (1/lam) exp(sum 2 lam^2/|s0 - rho|^2)
 _LEMMA_C = 10.0
 
@@ -197,48 +218,6 @@ def _root_eps(chars) -> np.ndarray:
     )
 
 
-def _refine_on_line(chars, root_eps, rows, a, b, za, zb):
-    """Roots of the real Z in the brackets [a_i, b_i] of chars[rows_i], za and
-    zb of opposite signs (float arrays, updated in place), by the Illinois
-    method; root_eps holds each character's eps^(1/2), as _root_eps forms
-    it.  One kernel pass per step serves every bracket, and each bracket's
-    point is contracted with its own character alone (lfunction._paired_xi);
-    Z there equals hardy_z's value bit for bit.
-
-    A bracket stops once it is at most _GAMMA_TOL wide or Z vanishes at its
-    new point; each root is the end with the smaller |Z|.
-    """
-    kept = np.zeros(len(a), dtype=int)  # end kept last step: -1 a, +1 b, 0 none
-    for _ in range(_FINDER_CAP):
-        live = np.nonzero(b - a > _GAMMA_TOL)[0]
-        if not live.size:
-            return np.where(np.abs(za) <= np.abs(zb), a, b)
-        al, bl, zal, zbl = a[live], b[live], za[live], zb[live]
-        c = bl - zbl * (bl - al) / (zbl - zal)
-        # step at least half the tolerance in from each end, so a root sitting
-        # at an end closes its bracket on the next step
-        c = np.clip(c, al + 0.5 * _GAMMA_TOL, bl - 0.5 * _GAMMA_TOL)
-        pick = rows[live]
-        zc = (_paired_xi(chars, pick, 0.5 + 1j * c) / root_eps[pick]).real
-        hit = zc == 0
-        a[live[hit]] = b[live[hit]] = c[hit]
-        # replace the end whose sign zc shares; halve the other end's value
-        # when it was kept twice running, so both ends keep moving
-        to_a = ~hit & (np.sign(zc) == np.sign(zal))
-        to_b = ~hit & ~to_a
-        ia, ib = live[to_a], live[to_b]
-        a[ia], za[ia] = c[to_a], zc[to_a]
-        b[ib], zb[ib] = c[to_b], zc[to_b]
-        zb[ia[kept[ia] == 1]] *= 0.5
-        za[ib[kept[ib] == -1]] *= 0.5
-        kept[ia], kept[ib] = 1, -1
-    chi = chars[rows[live[0]]]
-    raise ConvergenceError(
-        f"critical-line root finder did not settle in {_FINDER_CAP} steps "
-        f"(q={chi.q}, conrey={chi.conrey})"
-    )
-
-
 def locate_zeros(
     chi: dirichlet.Character, rect: Rectangle, spacing: float = 0.05
 ) -> list:
@@ -253,16 +232,21 @@ def locate_zeros_family(chars, rect: Rectangle, spacing: float = 0.05) -> list:
 
     `spacing` must be finite and positive.  A count of 0 certifies an empty
     box: that character gets [] without a scan.  On a box with
-    sigma1 <= 1/2 <= sigma2, Z is scanned at `spacing` along the box's piece
-    of the line for every character with a nonzero count at once; the rows
-    whose sign changes miss their count are scanned again at half the
-    spacing, at most _HALVINGS times.  Then all the brackets are refined
-    together (beta = 1/2 exactly, method "critical-line").  A box with an
-    edge on the line takes this route too, since its count, perturbed
-    outward off the zeros on that edge, holds them.  A count the line cannot
-    account for (a multiple zero, a zero off the line, or a box that misses
-    the line with a nonzero count) raises CountMismatchError naming the
-    first such character: a zero is never dropped silently.
+    sigma1 <= 1/2 <= sigma2, Z is sampled for every character with a nonzero
+    count at once, in one kernel call at the Chebyshev nodes of fixed panels
+    along the box's piece of the line, and a panel whose interpolant has not
+    converged is halved and sampled again (ConvergenceError after _SPLITS
+    halvings).  The interpolants' sign changes are counted at `spacing`; the
+    rows whose sign changes miss their count are scanned again at half the
+    spacing, at most _HALVINGS times.  Then every bracket is solved on its
+    interpolant by safeguarded Newton (beta = 1/2 exactly, method
+    "critical-line"), and one kernel call at the roots gives each residual
+    |L(1/2 + i gamma)|.  A box with an edge on the line takes this route too,
+    since its count, perturbed outward off the zeros on that edge, holds them.
+    A count the line cannot account for (a multiple zero, a zero off the
+    line, or a box that misses the line with a nonzero count) raises
+    CountMismatchError naming the first such character: a zero is never
+    dropped silently.
     """
     return _locate(chars, rect, spacing)
 
@@ -272,50 +256,49 @@ def _locate(chars, rect: Rectangle, spacing: float) -> list:
         raise DomainError(f"spacing must be finite and positive, got {spacing}")
     chars = list(chars)
     targets = count_zeros_family(chars, rect)
-    todo = [i for i, n in enumerate(targets) if n]
-    if todo and not rect.sigma1 <= 0.5 <= rect.sigma2:
-        chi = chars[todo[0]]
+    located = [i for i, n in enumerate(targets) if n]
+    if located and not rect.sigma1 <= 0.5 <= rect.sigma2:
+        chi = chars[located[0]]
         raise CountMismatchError(
-            f"winding count is {targets[todo[0]]} in a box off the critical line "
+            f"winding count is {targets[located[0]]} in a box off the critical line "
             f"(q={chi.q}, conrey={chi.conrey}, rect={rect})"
         )
-    # every root number once, for the characters the line scan and the finder
-    # both use: a family larger than gauss_sum's cache would evict its own
-    root_eps = np.ones(len(chars), dtype=np.complex128)
-    root_eps[todo] = _root_eps([chars[i] for i in todo])
-    found = {}  # character index -> (a, b, Z(a), Z(b)) of its brackets
+    records = [[] for _ in chars]
+    if not located:
+        return records
+    # every root number once: a family larger than gauss_sum's cache would
+    # evict its own sums
+    family = [chars[i] for i in located]
+    panels = _fit_panels(family, _root_eps(family), rect)
+    found = {}  # row of family -> (a, b, Z(a), Z(b), panel of a, panel of b)
+    todo = list(range(len(family)))
     for k in range(_HALVINGS + 1):
         if not todo:
             break
         n = max(1, math.ceil((rect.t2 - rect.t1) / (spacing / 2**k)))
         ts = np.linspace(rect.t1, rect.t2, n + 1)
-        missed = []  # (character index, sign changes) of the rows to rescan
-        z_rows = _hardy_z([chars[i] for i in todo], ts, root_eps[todo]).real
-        for i, z in zip(todo, z_rows):
-            # a scan point where Z is exactly 0 makes the scan a miss
+        missed = []  # (row, sign changes) of the rows to rescan
+        z_rows, at_rows = _scan(panels, todo, ts)
+        for j, z, at in zip(todo, z_rows, at_rows):
+            # a scan point where the interpolant is exactly 0 makes the scan a miss
             sign = np.sign(z)
             lo = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-            if len(lo) == targets[i] and sign.all():
-                found[i] = (ts[lo], ts[lo + 1], z[lo], z[lo + 1])
+            if len(lo) == targets[located[j]] and sign.all():
+                found[j] = (ts[lo], ts[lo + 1], z[lo], z[lo + 1], at[lo], at[lo + 1])
             else:
-                missed.append((i, len(lo)))
-        todo = [i for i, _ in missed]
+                missed.append((j, len(lo)))
+        todo = [j for j, _ in missed]
     if todo:
-        i, changes = missed[0]
-        chi = chars[i]
+        j, changes = missed[0]
+        chi = family[j]
         raise CountMismatchError(
             f"Z changes sign {changes} times at spacing {spacing / 2**_HALVINGS!r} "
-            f"but winding count is {targets[i]} (q={chi.q}, conrey={chi.conrey}, "
-            f"rect={rect})"
+            f"but winding count is {targets[located[j]]} (q={chi.q}, "
+            f"conrey={chi.conrey}, rect={rect})"
         )
-    records = [[] for _ in chars]
-    if not found:
-        return records
-    located = sorted(found)
-    family = [chars[i] for i in located]
-    rows = np.concatenate([np.full(len(found[i][0]), j) for j, i in enumerate(located)])
-    ends = (np.concatenate(v) for v in zip(*(found[i] for i in located)))
-    gammas = _refine_on_line(family, root_eps[located], rows, *ends)
+    rows = np.concatenate([np.full(len(found[j][0]), j) for j in sorted(found)])
+    ends = (np.concatenate(v) for v in zip(*(found[j] for j in sorted(found))))
+    gammas = _solve(panels, family, rows, *ends)
     lvals, _ = family_values(family, 0.5 + 1j * gammas)
     for g, r, j in zip(gammas, np.abs(lvals[rows, np.arange(len(rows))]), rows):
         records[located[j]].append(
@@ -329,6 +312,177 @@ def _locate(chars, rect: Rectangle, spacing: float) -> list:
             )
         )
     return records
+
+
+# Z on the line as Chebyshev interpolants.  A panel [lo, hi] is sampled at
+# the first-kind nodes t_k = mid + half cos(theta_k), theta_k = pi (k + 1/2)/m,
+# and its series p(t) = sum_j c_j cos(j theta), t = mid + half cos(theta),
+# takes c_j = (2/m) sum_k Z(t_k) cos(j theta_k) (c_0 halved), one DCT per
+# panel as a per-panel sum over k.  Every value, coefficient and root of a
+# character comes from its own samples by sums in a fixed order, so a
+# family's records equal the one-character records bit for bit.
+
+
+class _Panels(NamedTuple):
+    """Chebyshev interpolants of Z, one per panel, sorted by row and then by
+    lo; each row's panels tile the box's piece of the line."""
+
+    row: np.ndarray  # index into the located characters
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray  # (panels x nodes)
+
+
+@lru_cache(maxsize=None)
+def _chebyshev(m: int):
+    """(cos theta_k, the (m x m) DCT matrix taking node values to
+    coefficients) for m first-kind nodes."""
+    theta = np.pi * (np.arange(m) + 0.5) / m
+    dct = (2.0 / m) * np.cos(np.outer(np.arange(m), theta))
+    dct[0] *= 0.5
+    x = np.cos(theta)
+    x.flags.writeable = dct.flags.writeable = False
+    return x, dct
+
+
+def _fit_panels(family, root_eps, rect: Rectangle) -> _Panels:
+    """Each character's interpolants along the box's piece of the line:
+    ceil(length / _PANEL) equal panels of m nodes (_NODES on a whole panel,
+    at least _MIN_NODES), each panel whose last two coefficients exceed
+    _TAIL_TOL of its largest halved, with m nodes per half, up to _SPLITS
+    times.  One _hardy_z call per round."""
+    length = rect.t2 - rect.t1
+    count = math.ceil(length / _PANEL)
+    m = max(_MIN_NODES, math.ceil(_NODES * length / count / _PANEL))
+    edges = rect.t1 + (length / count) * np.arange(count + 1)
+    edges[-1] = rect.t2
+    row = np.repeat(np.arange(len(family)), count)
+    lo, hi = np.tile(edges[:-1], len(family)), np.tile(edges[1:], len(family))
+    done = []
+    for depth in range(_SPLITS + 1):
+        coef = _coefficients(family, root_eps, row, lo, hi, m)
+        tail = np.abs(coef[:, -2:]).max(axis=1)
+        # NaN samples fail this test too
+        bad = ~(tail <= _TAIL_TOL * np.abs(coef).max(axis=1))
+        done.append(_Panels(row[~bad], lo[~bad], hi[~bad], coef[~bad]))
+        if not bad.any():
+            break
+        if depth == _SPLITS:
+            i = np.flatnonzero(bad)[0]
+            chi = family[row[i]]
+            raise ConvergenceError(
+                f"Z's interpolant on [{lo[i]!r}, {hi[i]!r}] did not converge after "
+                f"{_SPLITS} halvings (q={chi.q}, conrey={chi.conrey})"
+            )
+        mid = 0.5 * (lo[bad] + hi[bad])
+        row = np.repeat(row[bad], 2)
+        lo, hi = np.stack([lo[bad], mid], 1).ravel(), np.stack([mid, hi[bad]], 1).ravel()
+    parts = [np.concatenate(v) for v in zip(*done)]
+    order = np.lexsort((parts[1], parts[0]))
+    return _Panels(*(v[order] for v in parts))
+
+
+def _coefficients(family, root_eps, row, lo, hi, m: int) -> np.ndarray:
+    """(panels x m) coefficients of Z of family[row[i]] on [lo[i], hi[i]], from
+    one _hardy_z call for the characters named at every panel's nodes."""
+    x, dct = _chebyshev(m)
+    spans, span_of = np.unique(np.stack([lo, hi], 1), axis=0, return_inverse=True)
+    users, user_of = np.unique(row, return_inverse=True)
+    mid, half = 0.5 * (spans[:, 0] + spans[:, 1]), 0.5 * (spans[:, 1] - spans[:, 0])
+    t = (mid[:, None] + half[:, None] * x).ravel()
+    z = _hardy_z([family[i] for i in users], t, root_eps[users]).real
+    vals = z.reshape(len(users), len(spans), m)[user_of.ravel(), span_of.ravel()]
+    coef = np.empty_like(vals)
+    step = max(1, _EVAL_CHUNK // (m * m))
+    for i in range(0, len(vals), step):
+        coef[i : i + step] = np.sum(vals[i : i + step, None, :] * dct, axis=-1)
+    return coef
+
+
+def _evaluate(panels: _Panels, at: np.ndarray, t: np.ndarray, slope=False):
+    """The interpolant of panel at[i] at t[i], as sum_j c_j cos(j theta) per
+    point; with `slope`, also its derivative in t,
+    sum_j j c_j sin(j theta) / (half sin theta)."""
+    lo, hi = panels.lo[at], panels.hi[at]
+    half = 0.5 * (hi - lo)
+    theta = np.arccos(np.clip((t - 0.5 * (lo + hi)) / half, -1.0, 1.0))
+    m = panels.coef.shape[1]
+    j = np.arange(m)
+    val, der = np.empty(len(t)), np.empty(len(t))
+    step = max(1, _EVAL_CHUNK // m)
+    for i in range(0, len(t), step):
+        sl = slice(i, i + step)
+        c, jt = panels.coef[at[sl]], np.multiply.outer(theta[sl], j)
+        val[sl] = np.sum(c * np.cos(jt), axis=-1)
+        if slope:
+            der[sl] = np.sum(c * j * np.sin(jt), axis=-1)
+    if not slope:
+        return val
+    # at theta = 0 or pi the slope is not finite, and _solve bisects instead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return val, der / (half * np.sin(theta))
+
+
+def _scan(panels: _Panels, rows, ts):
+    """((rows x len(ts)) values of each row's interpolant on the grid ts,
+    the panel index behind each value); ts runs from the box's t1 to t2."""
+    pick = np.flatnonzero(np.isin(panels.row, rows))
+    lo, hi = panels.lo[pick], panels.hi[pick]
+    first = np.searchsorted(ts, lo)
+    # a row's last panel ends at ts[-1] and takes that point too
+    stop = np.where(hi == ts[-1], len(ts), np.searchsorted(ts, hi))
+    size = stop - first
+    at = np.repeat(pick, size)
+    point = np.arange(len(at)) - np.repeat(np.cumsum(size) - size - first, size)
+    vals = _evaluate(panels, at, ts[point])
+    return vals.reshape(len(rows), len(ts)), at.reshape(len(rows), len(ts))
+
+
+def _solve(panels: _Panels, family, rows, a, b, za, zb, pa, pb) -> np.ndarray:
+    """The root of each row's interpolant in its bracket [a_i, b_i], where the
+    values za and zb differ in sign (float arrays, updated in place) and come
+    from panels pa and pb: safeguarded Newton in one panel, every bracket at
+    once.
+
+    A bracket that spans panels first shrinks to the one panel its sign
+    change lies in.  Each step keeps the bracket and takes the Newton point,
+    or the midpoint when that leaves the bracket; a root is settled once a
+    step or the bracket is at most _GAMMA_TOL, or the interpolant vanishes.
+    """
+    while np.any(span := pa != pb):
+        i = np.flatnonzero(span)
+        e, nxt = panels.hi[pa[i]], pa[i] + 1
+        ze = _evaluate(panels, nxt, e)
+        right = np.sign(ze) == np.sign(za[i])
+        r, left = i[right], i[~right]
+        a[r], za[r], pa[r] = e[right], ze[right], nxt[right]
+        b[left] = e[~right]
+        zb[left] = _evaluate(panels, pa[left], b[left])
+        pb[left] = pa[left]
+    # a sign change that rounding moved onto a panel's end is settled there
+    t = np.where(np.abs(za) <= np.abs(zb), a, b)
+    live = np.flatnonzero(np.sign(za) != np.sign(zb))
+    t[live] = b[live] - zb[live] * (b[live] - a[live]) / (zb[live] - za[live])
+    for _ in range(_NEWTON_CAP):
+        if not live.size:
+            return t
+        tl, al, bl = t[live], a[live], b[live]
+        z, dz = _evaluate(panels, pa[live], tl, slope=True)
+        to_a = np.sign(z) == np.sign(za[live])
+        al, bl = np.where(to_a, tl, al), np.where(to_a, bl, tl)
+        a[live], b[live] = al, bl
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = tl - z / dz
+        close = np.isfinite(dz) & (np.abs(newton - tl) <= _GAMMA_TOL)
+        # a long step that leaves the open bracket, or is not finite, bisects
+        inside = close | ((al < newton) & (newton < bl))
+        t[live] = np.where(z == 0, tl, np.where(inside, newton, 0.5 * (al + bl)))
+        live = live[~((z == 0) | close | (bl - al <= _GAMMA_TOL))]
+    chi = family[rows[live[0]]]
+    raise ConvergenceError(
+        f"Newton on Z's interpolant did not settle in {_NEWTON_CAP} steps "
+        f"(q={chi.q}, conrey={chi.conrey})"
+    )
 
 
 # ---------------------------------------------------------------------------

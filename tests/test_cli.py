@@ -237,6 +237,12 @@ def test_non_finite_value_exits_2(capsys):
         (["product-search", "--f1", "one", "--x1", "2000", "--f2", "one", "--x2", "2000",
           "--eta", "nan"], "eta"),
         (["halasz", "--f", "ntoi:nan", "--x", "1000"], "finite alpha"),
+        *(
+            (["audit-corollary", "--q-min", "3", "--q-max", "5", "--eps", "0.9",
+              "--T", T, "--selector", selector], "T must be")
+            for T in ("nan", "inf", "-1")
+            for selector in ("fixed-window", "twisted-window")
+        ),
     ]
     for argv, reason in cases:
         code, out, err = run(capsys, argv)

@@ -9,6 +9,7 @@ import pytest
 from charzero import contour, dirichlet, harness, lfunction, zeros
 from charzero.errors import (
     ContourError,
+    ConvergenceError,
     CountMismatchError,
     CoverageError,
     DomainError,
@@ -274,19 +275,19 @@ def test_critical_line_matches_mpmath_findroot():
 
 
 def test_coarse_line_scan_falls_back(monkeypatch):
-    calls = []
-    hardy_z = zeros._hardy_z
+    grids = []
+    scan = zeros._scan
 
-    def counting(chi, t, root_eps):
-        calls.append(np.size(t))
-        return hardy_z(chi, t, root_eps)
+    def recording(panels, rows, ts):
+        grids.append(len(ts))
+        return scan(panels, rows, ts)
 
-    monkeypatch.setattr(zeros, "_hardy_z", counting)
+    monkeypatch.setattr(zeros, "_scan", recording)
     rect = zeros.Rectangle(0, 1, 0, 20)
-    # five points 5 apart miss most of the five sign changes; nine points
-    # 2.5 apart catch them all
+    # the interpolant at five points 5 apart misses most of the five sign
+    # changes; at nine points 2.5 apart it catches them all
     recs = zeros.locate_zeros(CHI4, rect, spacing=5.0)
-    assert calls[:2] == [5, 9]
+    assert grids == [5, 9]
     assert len(recs) == len(CHI4_HEIGHTS)
     assert all(r.method == "critical-line" and r.beta == 0.5 for r in recs)
     for r, want in zip(recs, CHI4_HEIGHTS):
@@ -295,13 +296,13 @@ def test_coarse_line_scan_falls_back(monkeypatch):
 
 def test_count_mismatch_on_line_raises_after_last_halving(monkeypatch):
     scans = []
-    hardy_z, count_family = zeros._hardy_z, zeros.count_zeros_family
+    scan, count_family = zeros._scan, zeros.count_zeros_family
 
-    def recording(chars, t, root_eps):
-        scans.append(np.size(t))
-        return hardy_z(chars, t, root_eps)
+    def recording(panels, rows, ts):
+        scans.append(len(ts))
+        return scan(panels, rows, ts)
 
-    monkeypatch.setattr(zeros, "_hardy_z", recording)
+    monkeypatch.setattr(zeros, "_scan", recording)
     # one zero more than the line holds: no halving can account for it
     monkeypatch.setattr(
         zeros, "count_zeros_family", lambda chars, r: [n + 1 for n in count_family(chars, r)]
@@ -407,25 +408,30 @@ def test_family_count_names_unusable_character(monkeypatch):
 
 
 def test_locate_family_matches_per_character(monkeypatch):
-    calls = []
-    hardy_z, count_family = zeros._hardy_z, zeros.count_zeros_family
+    calls, scans = [], []
+    hardy_z, scan, count_family = zeros._hardy_z, zeros._scan, zeros.count_zeros_family
 
     def recording(chars, t, root_eps):
-        t = np.atleast_1d(t)
-        calls.append((len(chars), t[0] == rect.t1 and t[-1] == rect.t2))
+        calls.append(len(chars))
         return hardy_z(chars, t, root_eps)
 
+    def scanning(panels, rows, ts):
+        scans.append(len(rows))
+        return scan(panels, rows, ts)
+
     monkeypatch.setattr(zeros, "_hardy_z", recording)
+    monkeypatch.setattr(zeros, "_scan", scanning)
     rect = zeros.Rectangle(0, 1, 0, 20)
     partial = 0
     for q in (5, 23, 24, 51):
         family = dirichlet.enumerate_characters(q, primitive_only=True)
         for spacing in (0.05, 5.0):
             calls.clear()
+            scans.clear()
             rows = zeros.locate_zeros_family(family, rect, spacing)
-            # one call per scan and per finder step, whatever the family size
-            assert len(calls) <= zeros._HALVINGS + 1 + zeros._FINDER_CAP, (q, spacing)
-            scans = [k for k, whole_line in calls if whole_line]
+            # one node call and one per round of panel splits, whatever the
+            # family size or the spacing
+            assert 1 <= len(calls) <= 1 + zeros._SPLITS, (q, spacing)
             # a row whose scan matched is not scanned again
             partial += scans[-1] < scans[0]
             want = [zeros.locate_zeros(chi, rect, spacing) for chi in family]
@@ -443,6 +449,80 @@ def test_locate_family_matches_per_character(monkeypatch):
     want = rf"winding count is \d+ \(q=23, conrey={bad.conrey},"
     with pytest.raises(CountMismatchError, match=want):
         zeros.locate_zeros_family(family, rect)
+
+
+def test_locate_makes_one_node_call_and_one_residual_read(monkeypatch):
+    # beyond its counts, a locate evaluates the kernel once at the panels'
+    # nodes (no panel splits here) and once at the roots, however many zeros
+    calls = []
+    family_xi, family_values = zeros.family_xi, zeros.family_values
+
+    def xi(chars, s):
+        calls.append(("xi", np.size(s)))
+        return family_xi(chars, s)
+
+    def values(chars, s):
+        calls.append(("values", np.size(s)))
+        return family_values(chars, s)
+
+    monkeypatch.setattr(zeros, "family_xi", xi)
+    monkeypatch.setattr(zeros, "family_values", values)
+    family = dirichlet.enumerate_characters(23, primitive_only=True)
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    zeros.count_zeros_family(family, rect)
+    counting = list(calls)
+    calls.clear()
+    rows = zeros.locate_zeros_family(family, rect)
+    found = sum(map(len, rows))
+    assert found > 10 * len(family)
+    panels = math.ceil(20 / zeros._PANEL)
+    assert calls == counting + [("xi", panels * zeros._NODES), ("values", found)]
+
+
+def test_split_panels_match_unsplit(monkeypatch):
+    # below the rounding floor of Z's values halving a panel does not lower
+    # its tail, so the panels are made to split by sampling them too thinly
+    rect = zeros.Rectangle(0, 1, 0, 20)
+    family = dirichlet.enumerate_characters(23, primitive_only=True)
+    want = zeros.locate_zeros_family(family, rect)
+    calls = []
+    hardy_z = zeros._hardy_z
+
+    def recording(chars, t, root_eps):
+        calls.append(np.size(t))
+        return hardy_z(chars, t, root_eps)
+
+    monkeypatch.setattr(zeros, "_hardy_z", recording)
+    monkeypatch.setattr(zeros, "_NODES", zeros._MIN_NODES)
+    got = zeros.locate_zeros_family(family, rect)
+    assert 2 < len(calls) <= 1 + zeros._SPLITS
+    for chi, g, w in zip(family, got, want):
+        assert len(g) == len(w), chi.conrey
+        for a, b in zip(g, w):
+            assert abs(a.gamma - b.gamma) <= 1e-12, (chi.conrey, a.gamma, b.gamma)
+
+
+def test_unsettled_split_names_character(monkeypatch):
+    monkeypatch.setattr(zeros, "_TAIL_TOL", 0.0)
+    with pytest.raises(ConvergenceError, match=r"4 halvings \(q=4, conrey=3\)"):
+        zeros.locate_zeros(CHI4, zeros.Rectangle(0, 1, 0, 8))
+
+
+def test_locate_q101_to_height_50_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rect = zeros.Rectangle(0, 1, 0, 50)
+    family = dirichlet.enumerate_characters(101, primitive_only=True)
+    rows = zeros.locate_zeros_family(family, rect)
+    assert [len(r) for r in rows] == [zeros.count_zeros(chi, rect) for chi in family]
+    # the top zero of every character, in its least resolved panel, against
+    # mpmath's own L (float context)
+    for chi, recs in zip(family, rows):
+        table = [complex(v) for v in dirichlet.value_table(chi)]
+        g = recs[-1].gamma
+        root = mpmath.fp.findroot(
+            lambda t: mpmath.fp.dirichlet(0.5 + 1j * t, table), (g, g + 1e-8)
+        )
+        assert abs(complex(root) - g) <= 1e-12, (chi.conrey, g, root)
 
 
 def test_locate_forms_each_root_number_once():
