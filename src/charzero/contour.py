@@ -2,10 +2,11 @@
 
 A tracked function maps an array of n points to n values, or to a (k x n)
 array: k functions tracked together on the same points, refined wherever
-any of them needs it.  arg_change keeps one mesh per path (each point's edge
-and parameter t on it, and one value array) and calls the function once for
-the first mesh and once per refinement round, so a closed count costs
-1 + (refinement rounds) calls.
+any of them needs it.  A path is one open polyline or several (pieces);
+track keeps one mesh for all of them (each point's edge and parameter t on
+it, and one value array) and calls the function once for the first mesh and
+once per refinement round, so a closed count costs 1 + (refinement rounds)
+calls.
 """
 from __future__ import annotations
 
@@ -20,14 +21,24 @@ _STEP_CAP = math.pi / 4
 
 
 def arg_change(func, path, points_per_unit: float = 20.0):
-    """Total change of arg func along the open polyline through `path`.
+    """Total change of arg func along the open polyline through `path`, or
+    along several pieces: the total of track."""
+    return track(func, path, points_per_unit)[0]
 
-    func must accept a complex ndarray.  A 1-D func gives a float, and
-    ContourError if its values are not finite, pass within 1e-280 of zero or
-    do not settle.  A (k x n) func gives a length-k array, NaN in each row
-    that fails so; a row is reported by its first failure along the path and
-    is then set to 1 on the whole path, so that it turns no argument and
-    asks for no refinement.
+
+def track(func, path, points_per_unit: float = 20.0):
+    """(total change of arg func along `path`, func's values at each piece's
+    first and last point).
+
+    `path` is one open polyline (a sequence of points) or a list of them,
+    tracked on one mesh; the gap from one piece's last point to the next
+    piece's first turns no argument and is never refined.  func must accept
+    a complex ndarray.  A 1-D func gives a float and (pieces x 2) end values,
+    and ContourError if its values are not finite, pass within 1e-280 of
+    zero or do not settle.  A (k x n) func gives a length-k array, NaN in
+    each row that fails so, and (k x pieces x 2) end values; a row is
+    reported by its first failure along the path and is then set to 1 on the
+    whole path, so that it turns no argument and asks for no refinement.
 
     Each edge keeps both of its ends, so a corner is evaluated twice and the
     zero-length gap between its copies turns no argument.  Each refinement
@@ -35,8 +46,10 @@ def arg_change(func, path, points_per_unit: float = 20.0):
     mesh in which some row still steps by pi/4 or more.  A row still that
     steep after the last round fails.
     """
-    a = np.array(path[:-1], dtype=complex)
-    ab = np.array(path[1:], dtype=complex) - a
+    pieces = [path] if np.ndim(path[0]) == 0 else list(path)
+    a = np.concatenate([np.array(p[:-1], dtype=complex) for p in pieces])
+    ab = np.concatenate([np.diff(np.array(p, dtype=complex)) for p in pieces])
+    piece = np.repeat(np.arange(len(pieces)), [len(p) - 1 for p in pieces])
     sizes = [int(math.ceil(abs(x) * points_per_unit)) + 4 for x in ab]
     edge = np.repeat(np.arange(len(sizes)), sizes)
     t = np.concatenate([np.linspace(0.0, 1.0, n) for n in sizes])
@@ -55,6 +68,7 @@ def arg_change(func, path, points_per_unit: float = 20.0):
             )
         vals[rows] = 1.0
         d = np.angle(vals[:, 1:] / vals[:, :-1])
+        d[:, piece[edge[1:]] != piece[edge[:-1]]] = 0.0
         steep = np.abs(d) >= _STEP_CAP
         g = np.nonzero(steep.any(axis=0))[0]
         if not g.size or attempt == _MAX_REFINE - 1:
@@ -66,12 +80,15 @@ def arg_change(func, path, points_per_unit: float = 20.0):
     for i in np.nonzero(steep.any(axis=1))[0]:
         failed[int(i)] = "argument tracking failed to settle"
     total = d.sum(axis=1)
+    first = np.searchsorted(piece[edge], np.arange(len(pieces)))
+    last = np.append(first[1:], len(edge)) - 1
+    ends = vals[:, np.stack([first, last], 1)]
     if out.ndim == 1:
         if failed:
             raise ContourError(failed[0])
-        return float(total[0])
+        return float(total[0]), ends[0]
     total[list(failed)] = math.nan
-    return total
+    return total, ends
 
 
 def whole_turns(turns: float) -> int:

@@ -311,19 +311,25 @@ def _character_table(chars) -> tuple[np.ndarray, np.ndarray]:
     return xs, dirichlet._unit_values(chars)
 
 
-def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray):
-    """((k x points) L values, bound per point) at a window-checked 1-D s.
+def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, row=None):
+    """((k x points) L values, bound per point) at a window-checked 1-D s,
+    or, given the index row[i] of each point's character, the one value of
+    chars[row[i]] at each s[i].
 
     The kernel rows are built once for all k characters, a block of points
-    at a time, and each character's row is contracted with its table row by
-    a per-point sum in a fixed order: a value does not depend on which other
-    characters or points share the call.
+    at a time, and each point's kernel row is contracted with a character's
+    table row by a per-point sum in a fixed order: a value does not depend
+    on which other characters or points share the call, nor on whether it is
+    read alone (row) or with every character.
     """
     principal = np.array([chi.is_principal for chi in chars])
-    if principal.any() and np.any(s == 1.0):
+    # the rows of the result that carry the principal pole
+    pole_at = principal if row is None else principal[row]
+    if np.any((s == 1.0) & (principal.any() if row is None else pole_at)):
         raise PoleError("principal character: L has a pole at s = 1")
     q = chars[0].q
-    vals = np.empty((len(chars), len(s)), dtype=np.complex128)
+    shape = (len(chars), len(s)) if row is None else s.shape
+    vals = np.empty(shape, dtype=np.complex128)
     bounds = np.empty(len(s))
     # a block's kernel rows and its tail's table of _BERNOULLI + 2
     # Pochhammer products per point each fit in _CHUNK entries
@@ -331,32 +337,70 @@ def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray):
     for lo in range(0, len(s), step):
         blk = s[lo : lo + step]
         rows, bounds[lo : lo + step] = _em_sum(blk, xs, _shift_n(blk), _BERNOULLI, q)
-        for j, weights in enumerate(table):
-            vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
+        if row is None:
+            for j, weights in enumerate(table):
+                vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
+        else:
+            # one character's points at a time, by the same broadcast of its
+            # table row: a product of a (points x units) table would round
+            # some terms otherwise
+            at = row[lo : lo + step]
+            for j in np.unique(at):
+                mine = np.flatnonzero(at == j)
+                vals[lo + mine] = np.sum(rows[mine] * table[j], axis=1)
         del rows  # free this block's rows before the next block's kernel
-    if principal.any():
-        vals[principal] += sieve.euler_phi(q) * np.exp(-s * math.log(q)) / (s - 1.0)
+    if pole_at.any():
+        pole = sieve.euler_phi(q) * np.exp(-s * math.log(q)) / (s - 1.0)
+        vals[pole_at] += pole if row is None else pole[pole_at]
     return vals, bounds
+
+
+class Paired(NamedTuple):
+    """Characters of one modulus and, for each point of a 1-D s, the index
+    of the one character read there: family_values(Paired(chars, row), s)."""
+
+    chars: list
+    row: np.ndarray
 
 
 def family_values(chars, s):
     """((k x points) L values, error bound per point) for k characters of
-    one modulus at a 1-D array of points.
+    one modulus at a 1-D array of points.  Given Paired(chars, row), the
+    values are the one value of chars[row[i]] at each s[i] instead, bit for
+    bit those entries of the (k x points) array, at the cost of one
+    contraction per point.
 
     One kernel pass serves every character.  The bound holds for each row,
     since |chi(a)| <= 1.  Row j equals LEvaluator(chars[j]).values(s), bit
     for bit.
     """
+    row = None
+    if isinstance(chars, Paired):
+        chars, row = chars
+        row = np.asarray(row, dtype=np.intp).ravel()
     chars = list(chars)
     s = np.asarray(s, dtype=np.complex128).ravel()
     WINDOW.validate(s)
+    if row is not None and row.shape != s.shape:
+        raise DomainError("a paired read names one character per point")
     xs, table = _character_table(chars)
-    return _contract(chars, xs, table, s)
+    return _contract(chars, xs, table, s, row)
 
 
 def _require_xi(chars) -> None:
     if not all(chi.is_primitive and not chi.is_principal for chi in chars):
         raise DomainError("xi is defined for primitive nonprincipal characters")
+
+
+def _log_gamma_factor(q: int, a: int, s: np.ndarray) -> np.ndarray:
+    """z log(q/pi) + loggamma(z), z = (s+a)/2, point by point: a log of the
+    Gamma factor (q/pi)^z Gamma(z), and its continuous one on Re z > 0, where
+    loggamma (the principal branch) is analytic."""
+    # imported on first use: scipy.special takes about 0.1 s to import
+    from scipy.special import loggamma
+
+    z = 0.5 * (s + a)
+    return z * math.log(q / math.pi) + loggamma(z)
 
 
 def _gamma_factor(q: int, a: int, s: np.ndarray) -> np.ndarray:
@@ -366,11 +410,7 @@ def _gamma_factor(q: int, a: int, s: np.ndarray) -> np.ndarray:
     the pole and the contour code catches it, so callers form the factor
     and its product with L under np.errstate(invalid=..., over="ignore").
     """
-    # imported on first use: scipy.special takes about 0.1 s to import
-    from scipy.special import loggamma
-
-    z = 0.5 * (s + a)
-    return np.exp(z * math.log(q / math.pi) + loggamma(z))
+    return np.exp(_log_gamma_factor(q, a, s))
 
 
 def family_xi(chars, s) -> np.ndarray:

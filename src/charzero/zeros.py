@@ -2,9 +2,17 @@
 
 Counting uses the completed xi along rectangle boundaries (no Gamma poles or
 trivial zeros interfere inside the strip); a box symmetric about Re s = 1/2
-is counted from its right half through the functional equation.  Counting
-and locating both serve the characters of one modulus together, one xi
-evaluation per point for them all (count_zeros_family, locate_zeros_family);
+is counted from its right half through the functional equation.  A box that
+spans the strip (sigma1 <= 0, sigma2 >= 1) holds every zero of its height,
+since L does not vanish on Re s >= 1 (nor, by the functional equation, xi
+on Re s <= 0), so it may be counted as Rectangle(-1, 2, t1, t2): only that
+box's two horizontal half edges, from 1/2 to 2, are sampled, and the edge
+Re s = 2 is added in closed form from its two corners, since there
+|L(s) - 1| <= zeta(2) - 1 < 1 keeps L in the right half-plane.  That path is
+taken where it samples less than the box's own contour: at sigma2 = 1, on a
+box taller than 2.  Counting and locating both serve the characters of one
+modulus together, one xi evaluation per point for them all
+(count_zeros_family, locate_zeros_family);
 count_zeros and locate_zeros are the one-character cases.  Locating has one
 route, "critical-line": on a box that meets Re s = 1/2, the real Hardy
 function Z(t) of every character with a nonzero count is sampled in one
@@ -38,12 +46,17 @@ from .errors import (
 from .lfunction import (
     WINDOW,
     LEvaluator,
+    Paired,
     _density_tail,
+    _log_gamma_factor,
     family_values,
     family_xi,
 )
 
 _PERTURB = 1.37e-4
+# the real part of the right edge of a strip-spanning box's count, which
+# the count reads off the edge's two corners
+_RIGHT = 2.0
 # a line scan whose sign changes miss the winding count is repeated at half
 # the spacing, at most this many times, down to 1/64 of the step asked for.
 # From step 1.0, every primitive chi with q <= 50 on [0, 20] matches within
@@ -154,19 +167,44 @@ def count_zeros_family(chars, rect: Rectangle) -> list:
     xi(s) = eps conj(xi(1 - conj(s))) gives the left half the same argument
     change, so the winding number is the change along
     1/2 + it1 -> sigma2 + it1 -> sigma2 + it2 -> 1/2 + it2 divided by pi.
+
+    A box with sigma1 <= 0 and sigma2 >= 1 holds the zeros of
+    Rectangle(-1, 2, t1, t2): xi has none with Re s >= 1, where L(s, chi) does
+    not vanish, nor with Re s <= 0, by the functional equation.  Where the
+    two horizontal half edges 1/2 + it -> 2 + it of that box, 3 units in
+    all, are shorter than this box's own contour (at sigma2 = 1, when
+    t2 - t1 > 2), the count samples only them, as two pieces of one mesh
+    (contour.track), and divides by pi as for a symmetric box.  The edge
+    Re s = 2 between them is added in closed form from xi at its two
+    corners, which that mesh holds (_right_edge): there
+    |L - 1| <= zeta(2) - 1 < 0.65, so L stays in the right half-plane.
     """
     chars = list(chars)
     for chi in chars:
         _require_primitive(chi)
     WINDOW.validate(rect.corners())
     symmetric = rect.sigma1 + rect.sigma2 == 1.0
+    height = rect.t2 - rect.t1
+    # the sampled length of the box's own contour, against the strip path's
+    # two half edges
+    if symmetric:
+        length = 2.0 * (rect.sigma2 - 0.5) + height
+    else:
+        length = 2.0 * (rect.sigma2 - rect.sigma1 + height)
+    strip = rect.sigma1 <= 0.0 and rect.sigma2 >= 1.0 and 2.0 * (_RIGHT - 0.5) < length
+    per_turn = math.pi if symmetric or strip else 2.0 * math.pi
     counts = [None] * len(chars)
     todo, why = list(range(len(chars))), {}
     for attempt in range(6):
         if not todo:
             break
         r = rect.expand(attempt * _PERTURB)
-        if symmetric:
+        if strip:
+            path = [
+                [complex(0.5, r.t1), complex(_RIGHT, r.t1)],
+                [complex(_RIGHT, r.t2), complex(0.5, r.t2)],
+            ]
+        elif symmetric:
             path = [
                 complex(0.5, r.t1),
                 complex(r.sigma2, r.t1),
@@ -176,9 +214,11 @@ def count_zeros_family(chars, rect: Rectangle) -> list:
         else:
             path = list(r.corners()) + [r.corners()[0]]
         group = [chars[i] for i in todo]
-        turns = contour.arg_change(lambda s: family_xi(group, s), path)
+        turns, ends = contour.track(lambda s: family_xi(group, s), path)
+        if strip:
+            turns = turns + _right_edge(group, r.t1, r.t2, ends[:, 0, 1], ends[:, 1, 0])
         retry = []
-        for i, x in zip(todo, turns / (math.pi if symmetric else 2.0 * math.pi)):
+        for i, x in zip(todo, turns / per_turn):
             try:
                 counts[i] = contour.whole_turns(x)
             except ContourError as exc:
@@ -192,6 +232,23 @@ def count_zeros_family(chars, rect: Rectangle) -> list:
             f"(q={chi.q}, conrey={chi.conrey}): {why[todo[0]]}"
         )
     return counts
+
+
+def _right_edge(chars, t1: float, t2: float, xi1, xi2) -> np.ndarray:
+    """The change of arg xi along _RIGHT + it1 -> _RIGHT + it2 for each
+    character of one modulus, from its xi values xi1 and xi2 at the two ends.
+
+    xi = G L with G = (q/pi)^z Gamma(z), z = (s + a)/2.  G's argument changes
+    as Im of its continuous log, lfunction._log_gamma_factor, since Re z > 0;
+    and at Re s = 2, |L - 1| <= sum_{n>=2} n^-2 = zeta(2) - 1 < 0.65, so
+    Re L > 0.35 and arg L changes as its principal angle L = xi / G.
+    """
+    s = np.array([complex(_RIGHT, t1), complex(_RIGHT, t2)])
+    q = chars[0].q
+    arg_g = {a: _log_gamma_factor(q, a, s).imag for a in {chi.parity for chi in chars}}
+    g = np.array([arg_g[chi.parity] for chi in chars])
+    arg_l = np.angle(np.stack([xi1, xi2], axis=1) * np.exp(-1j * g))
+    return g[:, 1] - g[:, 0] + arg_l[:, 1] - arg_l[:, 0]
 
 
 def hardy_z(chars, t):
@@ -299,8 +356,8 @@ def _locate(chars, rect: Rectangle, spacing: float) -> list:
     rows = np.concatenate([np.full(len(found[j][0]), j) for j in sorted(found)])
     ends = (np.concatenate(v) for v in zip(*(found[j] for j in sorted(found))))
     gammas = _solve(panels, family, rows, *ends)
-    lvals, _ = family_values(family, 0.5 + 1j * gammas)
-    for g, r, j in zip(gammas, np.abs(lvals[rows, np.arange(len(rows))]), rows):
+    lvals, _ = family_values(Paired(family, rows), 0.5 + 1j * gammas)
+    for g, r, j in zip(gammas, np.abs(lvals), rows):
         records[located[j]].append(
             ZeroRecord(
                 q=family[j].q,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charzero.contour import arg_change, winding_number
+from charzero.contour import arg_change, track, winding_number
 from charzero.errors import ContourError
 
 SQUARE = [-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j]
@@ -141,3 +141,26 @@ def test_failed_row_asks_for_no_refinement():
     turns = arg_change(f, SQUARE + [SQUARE[0]], points_per_unit=2.0)
     assert sizes == [4 * 8]
     assert turns[0] == pytest.approx(0.0, abs=1e-12) and np.isnan(turns[1])
+
+
+def test_pieces_share_one_mesh():
+    sizes = []
+
+    def f(z):
+        sizes.append(len(z))
+        return z
+
+    # the two vertical edges of SQUARE as pieces: each turns z by pi/2, and
+    # the jump from the first's end to the second's start (another pi/2, a
+    # step of more than pi/4 at 2 points per unit) turns nothing and is
+    # never refined
+    pieces = [[1 - 1j, 1 + 1j], [-1 + 1j, -1 - 1j]]
+    total, ends = track(f, pieces, points_per_unit=2.0)
+    assert sizes == [2 * 8]
+    assert total == pytest.approx(np.pi, abs=1e-12)
+    assert ends.tolist() == pieces
+    assert arg_change(f, pieces, points_per_unit=2.0) == total
+    stacked = lambda z: np.array([z, z - 5])
+    both, rows = track(stacked, pieces)
+    assert both[0] == pytest.approx(np.pi, abs=1e-12)
+    assert rows.shape == (2, 2, 2) and rows[1].tolist() == (np.array(pieces) - 5).tolist()

@@ -238,6 +238,68 @@ def test_symmetric_count_stays_right_of_line(monkeypatch):
     assert seen and min(seen) >= 0.5 - 6 * zeros._PERTURB
 
 
+# boxes that span the strip, counted from their horizontal half edges; the
+# third stays off |t| = 50 so that a perturbed retry stays in the window
+STRIP_BOXES = (
+    zeros.Rectangle(0, 1, 0, 20),
+    zeros.Rectangle(0, 1, -20, -3),
+    zeros.Rectangle(-0.5, 1.5, 30, 49.5),
+    zeros.Rectangle(-0.2, 1.3, 2, 9),
+)
+
+
+def test_strip_count_matches_closed_winding():
+    for q in range(3, 31):
+        family = dirichlet.enumerate_characters(q, primitive_only=True)
+        for rect in STRIP_BOXES:
+            counts = zeros.count_zeros_family(family, rect)
+            assert counts == [_closed_count(chi, rect) for chi in family], (q, rect)
+
+
+def test_right_edge_closed_form_matches_tracking():
+    # the change of arg xi along Re s = 2 from its two corners, against the
+    # sampled change along that edge; and the premise |L - 1| <= zeta(2) - 1
+    rng = np.random.default_rng(2027)
+    for q in (5, 23, 101):
+        family = dirichlet.enumerate_characters(q, primitive_only=True)
+        for parity in (0, 1):
+            chars = [chi for chi in family if chi.parity == parity]
+            chi = chars[rng.integers(len(chars))]
+            for _ in range(3):
+                t1, t2 = np.sort(rng.uniform(-50, 50, 2))
+                ends = np.array([complex(2, t1), complex(2, t2)])
+                xi1, xi2 = zeros.family_xi([chi], ends)[0]
+                exact = zeros._right_edge([chi], t1, t2, [xi1], [xi2])[0]
+                sampled = contour.arg_change(lambda s: zeros.family_xi([chi], s)[0], ends)
+                assert exact == pytest.approx(sampled, abs=1e-9), (q, chi.conrey, t1, t2)
+                on_edge = 2 + 1j * np.concatenate([[t1, t2], np.linspace(t1, t2, 201)])
+                lvals, _ = zeros.family_values([chi], on_edge)
+                assert np.all(lvals.real >= 2 - math.pi**2 / 6 - 1e-12), (q, chi.conrey)
+
+
+def test_strip_count_samples_horizontal_edges_only(monkeypatch):
+    sizes, points = [], []
+    family_xi = zeros.family_xi
+
+    def recording(chars, s):
+        sizes.append(np.size(s))
+        points.append(np.asarray(s))
+        return family_xi(chars, s)
+
+    monkeypatch.setattr(zeros, "family_xi", recording)
+    family = dirichlet.enumerate_characters(23, primitive_only=True)
+    zeros.count_zeros_family(family, zeros.Rectangle(0, 1, 0, 20))
+    # two half edges of length 3/2, each ceil(3/2 * 20) + 4 points
+    assert sizes[0] == 68
+    s = np.concatenate(points)
+    assert np.all((s.imag == 0) | (s.imag == 20))
+    assert np.all((0.5 <= s.real) & (s.real <= 2))
+    sizes.clear()
+    # the hypothesis box keeps its right half: three edges of length 1/2
+    zeros.count_zeros_family(family, zeros.Rectangle(0, 1, -0.25, 0.25))
+    assert sizes[0] == 42
+
+
 def test_hardy_z_real_on_scan_points():
     ts = np.linspace(0.0, 20.0, 401)
     for q in range(3, 31):
