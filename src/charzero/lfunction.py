@@ -323,9 +323,11 @@ def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, row=None)
     read alone (row) or with every character.
     """
     principal = np.array([chi.is_principal for chi in chars])
-    # the rows of the result that carry the principal pole
+    # the entries of the result that carry the principal pole (rows, or the
+    # points of a paired read), and the points they are read at
     pole_at = principal if row is None else principal[row]
-    if np.any((s == 1.0) & (principal.any() if row is None else pole_at)):
+    pole_s = s if row is None else s[pole_at]
+    if pole_at.any() and np.any(pole_s == 1.0):
         raise PoleError("principal character: L has a pole at s = 1")
     q = chars[0].q
     shape = (len(chars), len(s)) if row is None else s.shape
@@ -341,17 +343,17 @@ def _contract(chars, xs: np.ndarray, table: np.ndarray, s: np.ndarray, row=None)
             for j, weights in enumerate(table):
                 vals[j, lo : lo + step] = np.sum(rows * weights, axis=1)
         else:
-            # one character's points at a time, by the same broadcast of its
-            # table row: a product of a (points x units) table would round
-            # some terms otherwise
+            # one character's points at a time, by the broadcast of its table
+            # row that the full read uses: numpy's product of two
+            # (points x units) arrays rounds some terms differently
             at = row[lo : lo + step]
             for j in np.unique(at):
                 mine = np.flatnonzero(at == j)
                 vals[lo + mine] = np.sum(rows[mine] * table[j], axis=1)
         del rows  # free this block's rows before the next block's kernel
     if pole_at.any():
-        pole = sieve.euler_phi(q) * np.exp(-s * math.log(q)) / (s - 1.0)
-        vals[pole_at] += pole if row is None else pole[pole_at]
+        pole = sieve.euler_phi(q) * np.exp(-pole_s * math.log(q)) / (pole_s - 1.0)
+        vals[pole_at] += pole
     return vals, bounds
 
 
@@ -381,8 +383,8 @@ def family_values(chars, s):
     chars = list(chars)
     s = np.asarray(s, dtype=np.complex128).ravel()
     WINDOW.validate(s)
-    if row is not None and row.shape != s.shape:
-        raise DomainError("a paired read names one character per point")
+    if row is not None and (row.shape != s.shape or np.any((row < 0) | (row >= len(chars)))):
+        raise DomainError("a paired read names one character of the family per point")
     xs, table = _character_table(chars)
     return _contract(chars, xs, table, s, row)
 

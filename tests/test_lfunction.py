@@ -265,6 +265,30 @@ def test_family_xi_matches_evaluator():
         lfunction.family_values([CHI4], np.array([4.0 + 0j]))
 
 
+def test_paired_read_is_the_diagonal():
+    # each point read with its own character only, bit for bit the entry of
+    # the full read; 500 points of q = 47 make one kernel block
+    rng = np.random.default_rng(20261021)
+    for q, n in ((12, 40), (47, 500), (101, 900)):
+        family = dirichlet.enumerate_characters(q)
+        s = rng.uniform(-1, 3, n) + 1j * rng.uniform(-50, 50, n)
+        row = rng.integers(len(family), size=n)
+        full, bounds = lfunction.family_values(family, s)
+        vals, paired_bounds = lfunction.family_values(lfunction.Paired(family, row), s)
+        assert np.array_equal(vals, full[row, np.arange(n)]), q
+        assert np.array_equal(paired_bounds, bounds), q
+    family = dirichlet.enumerate_characters(12)
+    principal = [chi.is_principal for chi in family].index(True)
+    at_one = np.array([1.0 + 0j, 2.0 + 0j])
+    other = 1 - principal  # q = 12 has one principal character among four
+    lfunction.family_values(lfunction.Paired(family, [other, principal]), at_one)
+    with pytest.raises(PoleError):
+        lfunction.family_values(lfunction.Paired(family, [principal, 0]), at_one)
+    for names in ([0], [0, -1], [0, len(family)]):
+        with pytest.raises(DomainError):
+            lfunction.family_values(lfunction.Paired(family, names), at_one)
+
+
 def test_family_memory_stays_chunked():
     # 209 characters mod 211 at 500 points: besides its outputs and the
     # character table, a family evaluation holds at most 8 temporaries of
