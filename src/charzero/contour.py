@@ -46,10 +46,14 @@ def track(func, path, points_per_unit: float = 20.0):
     mesh in which some row still steps by pi/4 or more.  A row still that
     steep after the last round fails.
     """
-    pieces = [path] if np.ndim(path[0]) == 0 else list(path)
-    a = np.concatenate([np.array(p[:-1], dtype=complex) for p in pieces])
-    ab = np.concatenate([np.diff(np.array(p, dtype=complex)) for p in pieces])
-    piece = np.repeat(np.arange(len(pieces)), [len(p) - 1 for p in pieces])
+    pieces = [path] if np.ndim(path[0]) == 0 else path
+    a, b, opens = [], [], []  # each edge's ends; each piece's first edge
+    for p in pieces:
+        opens.append(len(a))
+        a += list(p[:-1])
+        b += list(p[1:])
+    a = np.array(a, dtype=complex)
+    ab = np.array(b, dtype=complex) - a
     sizes = [int(math.ceil(abs(x) * points_per_unit)) + 4 for x in ab]
     edge = np.repeat(np.arange(len(sizes)), sizes)
     t = np.concatenate([np.linspace(0.0, 1.0, n) for n in sizes])
@@ -68,7 +72,8 @@ def track(func, path, points_per_unit: float = 20.0):
             )
         vals[rows] = 1.0
         d = np.angle(vals[:, 1:] / vals[:, :-1])
-        d[:, piece[edge[1:]] != piece[edge[:-1]]] = 0.0
+        if len(opens) > 1:
+            d[:, np.searchsorted(edge, opens[1:]) - 1] = 0.0
         steep = np.abs(d) >= _STEP_CAP
         g = np.nonzero(steep.any(axis=0))[0]
         if not g.size or attempt == _MAX_REFINE - 1:
@@ -80,9 +85,8 @@ def track(func, path, points_per_unit: float = 20.0):
     for i in np.nonzero(steep.any(axis=1))[0]:
         failed[int(i)] = "argument tracking failed to settle"
     total = d.sum(axis=1)
-    first = np.searchsorted(piece[edge], np.arange(len(pieces)))
-    last = np.append(first[1:], len(edge)) - 1
-    ends = vals[:, np.stack([first, last], 1)]
+    cuts = np.searchsorted(edge, opens + [len(ab)])
+    ends = vals[:, np.stack([cuts[:-1], cuts[1:] - 1], 1)]
     if out.ndim == 1:
         if failed:
             raise ContourError(failed[0])
