@@ -112,10 +112,7 @@ def _cmd_chars(args, constants):
 
 def _cmd_sum(args, constants):
     chi = dirichlet.character(args.q, args.conrey)
-    if args.phi:
-        ps = dirichlet.twisted_partial_sum(chi, args.phi, args.x)
-    else:
-        ps = dirichlet.partial_sum(chi, args.x)
+    ps = dirichlet.twisted_partial_sum(chi, args.phi, args.x)
     row = {
         "q": args.q,
         "conrey": args.conrey,
@@ -209,14 +206,7 @@ def _cmd_hzeros(args, constants):
 
 
 def _cmd_constants(args, constants):
-    c = spectral.delta_constants()
-    row = {
-        "delta0": c.delta0,
-        "delta1": c.delta1,
-        "integral": c.integral,
-        "quad_error": c.quad_error,
-        "constants": constants.to_dict(),
-    }
+    row = {**harness.report_dict(spectral.delta_constants()), "constants": constants.to_dict()}
     return row, [{**row, "version": __version__}]
 
 

@@ -328,6 +328,8 @@ def _blocked_sum(values_at, m: int) -> complex:
 
 
 def _partial_sum(chi: Character, phi: float, x: float) -> PartialSum:
+    if not (math.isfinite(x) and math.isfinite(phi)):
+        raise DomainError(f"partial sums need finite x and phi, got x = {x}, phi = {phi}")
     if x < 1:
         raise DomainError("partial sums need x >= 1")
     sieve.check_limit(x, "partial-sum length")

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import dirichlet, lfunction, sieve
 from .errors import ConvergenceError, DomainError
-from .special import gauss_legendre_panels
 
 _COMPONENT_TOL = 1e-9
 # values of n per erfc chunk (rounded down to a multiple of q)
@@ -40,8 +39,18 @@ class PlancherelCase:
             raise DomainError("the identity needs a nonprincipal character")
         if not (0.0 <= self.lam <= 0.5):
             raise DomainError("lam must lie in [0, 1/2]")
-        if self.T <= 0:
-            raise DomainError("T must be positive")
+        t_min = (1.0 - self.lam) ** 2 / 1400.0  # below it e^{(lam-1)^2/(2T)} passes e^700
+        if not (t_min < self.T < math.inf):
+            raise DomainError(f"T must lie in ((1-lam)^2/1400, inf) = ({t_min}, inf), got {self.T}")
+        # the L-line 1 - lam + i(phi + xi), |xi| <= 10 sqrt(T); a NaN phi fails too
+        if not abs(self.phi) + _xi_max(self.T) <= lfunction.WINDOW.t_max:
+            raise DomainError(
+                f"phi = {self.phi}, T = {self.T}: the L-line leaves the window {lfunction.WINDOW}"
+            )
+
+
+def _xi_max(T: float) -> float:
+    return 10.0 * math.sqrt(T)  # ten standard deviations of the weight e^{-xi^2/(2T)}
 
 
 @functools.lru_cache(maxsize=64)
@@ -75,7 +84,10 @@ def required_n_max(q: int, phi: float, lam: float, T: float, tol: float = _COMPO
     the left side's terms n > N, for any nonprincipal character mod q.
 
     The bound falls as N grows, so N is found by doubling, then bisection.
+    Raises DomainError unless tol is finite and positive.
     """
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     lo, hi = 0, 1
     while _lhs_tail(q, phi, lam, T, hi) >= tol:
         lo, hi = hi, 2 * hi
@@ -147,17 +159,19 @@ def lhs_gaussian_sum(case: PlancherelCase, tol: float = _COMPONENT_TOL):
     return _lhs_from_sums(case, sums[0], n_max)
 
 
-def lhs_quadrature_oracle(case: PlancherelCase, n_max: int, nodes: int = 12) -> complex:
-    """Independent route: integrate S(e^y, chi_phi) e^{(lam-1)y - T y^2/2}
-    piecewise over [log n, log(n+1)) where the partial sum is constant."""
+def lhs_quadrature_oracle(case: PlancherelCase, n_max: int) -> complex:
+    """Independent route: integrate S(e^y, chi_phi) e^{(lam-1)y - T y^2/2} by 12-point
+    Gauss-Legendre on each [log n, log(n+1)), where the partial sum is constant."""
     n = np.arange(1, n_max + 1)
     vals = dirichlet.value_table(case.chi)[n % case.chi.q] * np.exp(-1j * case.phi * np.log(n))
     partial = np.cumsum(vals)
     lam, T = case.lam, case.T
+    base_x, base_w = np.polynomial.legendre.leggauss(12)
     total = 0.0 + 0.0j
     for n in range(1, n_max + 1):
         lo, hi = math.log(n), math.log(n + 1)
-        xs, ws = gauss_legendre_panels(lo, hi, 1, nodes)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xs, ws = mid + half * base_x, half * base_w
         total += partial[n - 1] * complex(
             np.sum(ws * np.exp((lam - 1.0) * xs - T * xs * xs / 2.0))
         )
@@ -191,7 +205,7 @@ def _rhs_family(chars, phi: float, lam: float, T: float, tol: float) -> list:
     sum and stop test and drops out once it has converged; its L values, and
     so its result, do not depend on which characters share a call.
     """
-    xi_max = 10.0 * math.sqrt(T)
+    xi_max = _xi_max(T)
     tail = _rhs_tail(chars[0].q, phi, lam, T, xi_max)
 
     def integrand(active, xs: np.ndarray) -> list:

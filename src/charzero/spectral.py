@@ -17,7 +17,6 @@ import numpy as np
 
 from . import contour
 from .errors import ContourError, DomainError
-from .special import gauss_legendre_panels
 
 _A = math.exp(-0.5)
 _SERIES_RADIUS = 0.1
@@ -169,24 +168,41 @@ class SpectrumConstants:
     quad_error: float
 
 
-def _log_ratio_integral(nodes: int) -> float:
-    xs, ws = gauss_legendre_panels(1.0, math.sqrt(math.e), 4, nodes=nodes)
-    return float(np.sum(ws * np.log(xs) / (xs + 1.0)))
+_LI2_TERMS = 60
 
 
 def delta_constants() -> SpectrumConstants:
-    """delta0 = 1 - log(1+sqrt e) + 2I, delta1 = 1 - 2 log(1+sqrt e) + 4I
-    with I the integral of log t/(t+1) over [1, sqrt e]; the quadrature error
-    is bounded by a node-doubling comparison."""
-    i64 = _log_ratio_integral(64)
-    i128 = _log_ratio_integral(128)
-    err = abs(i64 - i128) + 1e-15
-    ls = math.log(1.0 + math.sqrt(math.e))
+    """delta0 = 1 - log(1+sqrt e) + 2I and delta1 = 2 delta0 - 1, with I the
+    integral of log t/(t+1) over [1, sqrt e], in closed form.  The
+    antiderivative log t log(1+t) + Li2(-t), Li2(-1) = -pi^2/12 and the
+    inversion Li2(-x) + Li2(-1/x) = -pi^2/6 - (log x)^2/2 (Lewin,
+    Polylogarithms and Associated Functions, 1981) give, with a = e^{-1/2},
+    I = log(1+sqrt e)/2 - pi^2/12 - 1/8 - Li2(-a) and
+    delta0 = 3/4 - pi^2/6 - 2 Li2(-a).  Li2(-a) = sum (-a)^k/k^2 alternates
+    with falling terms: its first _LI2_TERMS = 60 leave a^61/61^2 < 1.6e-17.
+
+    quad_error bounds |integral - I| by that tail plus 10u of rounding,
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, chs.
+    3-4), for binary64 rounding to nearest, correctly rounded sqrt and fsum,
+    and math.exp, math.log and ** within one ulp (relative error <= 2u).
+    In units of u, to first order: the k-th term is off by (2k+3)u a^k/k^2
+    (exp(-1/2) by 2u, raised to the k, ** by 2u, /k^2 by u), 4.08 in all;
+    the series' fsum, |Li2(-a)| < 0.54; pi*pi/12, 4 x 0.823 < 3.30;
+    log(1+sqrt e)/2, whose argument e, sqrt and + move by 1.94u,
+    (1.94 + 2 x 0.975)/2 < 1.95; the last fsum, |I| < 0.08.  That is 9.95;
+    second-order terms and the tail's own rounding fit in the 0.05u left.
+    delta0, one fsum with twice the series and pi^2/12 errors, is within
+    2 quad_error + u|delta0|, delta1 within 4 quad_error + (2|delta0| +
+    |delta1|)u.
+    """
+    li2 = math.fsum((-_A) ** k / (k * k) for k in range(1, _LI2_TERMS + 1))
+    pi2_12 = math.pi * math.pi / 12.0
+    delta0 = math.fsum((0.75, -2.0 * pi2_12, -2.0 * li2))
     return SpectrumConstants(
-        delta0=1.0 - ls + 2.0 * i128,
-        delta1=1.0 - 2.0 * ls + 4.0 * i128,
-        integral=i128,
-        quad_error=err,
+        delta0=delta0,
+        delta1=2.0 * delta0 - 1.0,
+        integral=math.fsum((0.5 * math.log(1.0 + math.sqrt(math.e)), -pi2_12, -0.125, -li2)),
+        quad_error=_A ** (_LI2_TERMS + 1) / (_LI2_TERMS + 1) ** 2 + 10.0 * 2.0**-53,
     )
 
 

@@ -657,6 +657,8 @@ def disk_count_audit(
     so (vacuous) instead of claiming the theorem's conclusion.
     """
     _require_primitive(chi)
+    if not (math.isfinite(x) and math.isfinite(L_param)):
+        raise DomainError(f"the disk audit needs finite x and L, got x = {x}, L = {L_param}")
     if x <= 1:
         raise DomainError("need x > 1")
     logx = math.log(x)

@@ -243,6 +243,35 @@ def test_non_finite_value_exits_2(capsys):
             for T in ("nan", "inf", "-1")
             for selector in ("fixed-window", "twisted-window")
         ),
+        *(
+            (["plancherel", "--q", "4", "--conrey", "3", "--lambda", "0.25", *argv], reason)
+            for argv, reason in (
+                (["--T", "1", "--phi", "inf"], "leaves the window"),
+                (["--T", "1", "--phi", "nan"], "leaves the window"),
+                (["--T", "1", "--phi", "1e300"], "leaves the window"),
+                (["--T", "1", "--phi", "45"], "leaves the window"),
+                (["--T", "1e-5"], "T must lie"),
+                (["--T", "nan"], "T must lie"),
+                (["--T", "inf"], "T must lie"),
+            )
+        ),
+        *(
+            (["--out", "json", "sum", "--q", "5", "--conrey", "4", "--x", x, "--phi", phi],
+             reason)
+            for x, phi, reason in (
+                ("100", "nan", "phi = nan"),
+                ("100", "inf", "phi = inf"),
+                ("nan", "0", "x = nan"),
+            )
+        ),
+        *(
+            (["audit-disk", "--q", "4", "--conrey", "3", "--x", x, "--L", L], reason)
+            for x, L, reason in (
+                ("nan", "1", "x = nan"),
+                ("10", "nan", "L = nan"),
+                ("10", "inf", "L = inf"),
+            )
+        ),
     ]
     for argv, reason in cases:
         code, out, err = run(capsys, argv)

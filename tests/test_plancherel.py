@@ -28,6 +28,15 @@ def test_required_n_max_monotone():
     assert n >= plancherel.required_n_max(4, 0.0, 0.0, 1.0, tol=1e-6)
 
 
+def test_required_n_max_rejects_bad_tol():
+    case = plancherel.PlancherelCase(CHI4, 0.0, 0.0, 1.0)
+    for tol in (0.0, -1e-9, math.nan):
+        with pytest.raises(DomainError, match="tol"):
+            plancherel.required_n_max(4, 0.0, 0.0, 1.0, tol=tol)
+        with pytest.raises(DomainError, match="tol"):
+            plancherel.lhs_gaussian_sum(case, tol=tol)
+
+
 # n_max of the absolute truncation rule pi e^{lam^2/(2T)} erfc(sqrt(T/2)(log N - lam/T)) < 1e-9
 # at lam = 1/2, T = 1/4, which ignored the character's cancellation
 ABSOLUTE_RULE_N_MAX = 2_504_294

@@ -119,10 +119,21 @@ def test_delta_constants():
 
 
 def test_delta_quadrature_error_honest():
-    # doubling the panel count keeps the value within the reported error
-    i_fine = spectral._log_ratio_integral(256)
+    # quad_error and the delta bounds of delta_constants' docstring hold
+    # against an independent quadrature at 30 digits
+    mpmath = pytest.importorskip("mpmath")
     c = spectral.delta_constants()
-    assert abs(c.integral - i_fine) <= c.quad_error
+    u = 2.0**-53
+    with mpmath.workdps(30):
+        i_mp = mpmath.quad(lambda t: mpmath.log(t) / (t + 1), [1, mpmath.sqrt(mpmath.e)])
+        delta0_mp = 1 - mpmath.log(1 + mpmath.sqrt(mpmath.e)) + 2 * i_mp
+        delta1_mp = 2 * delta0_mp - 1
+        assert abs(c.integral - i_mp) <= c.quad_error
+        assert abs(c.delta0 - delta0_mp) <= 2 * c.quad_error + u * abs(c.delta0)
+        assert abs(c.delta1 - delta1_mp) <= 4 * c.quad_error + u * (
+            2 * abs(c.delta0) + abs(c.delta1)
+        )
+    assert c.quad_error < 1e-14
 
 
 def test_bounds_values():
