@@ -25,6 +25,8 @@ from .errors import ConvergenceError, DomainError
 _COMPONENT_TOL = 1e-9
 # values of n per erfc chunk (rounded down to a multiple of q)
 _CHUNK = 2**16
+# most erfc terms one left side may sum: 3-5 s on one core of a 2-vCPU Xeon VM
+_N_MAX_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,19 @@ def required_n_max(q: int, phi: float, lam: float, T: float, tol: float = _COMPO
     the left side's terms n > N, for any nonprincipal character mod q.
 
     The bound falls as N grows, so N is found by doubling, then bisection.
-    Raises DomainError unless tol is finite and positive.
+    Raises DomainError unless tol is finite and positive, and, before any
+    sum, if N would pass _N_MAX_CAP.
     """
     if not (0.0 < tol < math.inf):
         raise DomainError(f"tol must be finite and positive, got {tol}")
     lo, hi = 0, 1
     while _lhs_tail(q, phi, lam, T, hi) >= tol:
-        lo, hi = hi, 2 * hi
+        if hi >= _N_MAX_CAP:
+            raise DomainError(
+                f"the erfc sum needs more than {_N_MAX_CAP} terms "
+                f"(q={q}, phi={phi}, lam={lam}, T={T}, tol={tol})"
+            )
+        lo, hi = hi, min(2 * hi, _N_MAX_CAP)
     # the bound is below tol at hi and not at lo (or lo = 0 is untested)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -196,47 +204,66 @@ def _rhs_tail(q: int, phi: float, lam: float, T: float, xi_max: float) -> float:
     return 2.0 * side
 
 
-def _rhs_family(chars, phi: float, lam: float, T: float, tol: float) -> list:
+def _rhs_family(chars, cases, tol: float) -> list:
     """rhs_L_integral's (value, tail_bound, xi_max, intervals) for each of k
-    nonprincipal characters of one modulus, from one trapezoid loop.
+    nonprincipal characters of one modulus at each (phi, lam, T) of cases:
+    out[c][j] is cases[c] for chars[j].
 
-    Every character's trapezoid uses the same points, so each round makes one
-    family_values call for the characters still running.  Each keeps its own
-    sum and stop test and drops out once it has converged; its L values, and
-    so its result, do not depend on which characters share a call.
+    Every trapezoid runs in lockstep.  Round 0 takes every case's 65 points
+    and each later round the midpoints of every case still running, each
+    round in one family_values call for every character.  A case keeps its
+    own xi_max, h, n and tail, each of its characters its own sum and stop
+    test, and it leaves the batch once all its characters have converged.
+    Each (case, character) adds its own points in the same order whatever
+    shares the call, and a point's L value does not depend on the other
+    points or characters of its call, so every result equals the one-case,
+    one-character loop's bit for bit.
     """
-    xi_max = _xi_max(T)
-    tail = _rhs_tail(chars[0].q, phi, lam, T, xi_max)
+    xi_maxes = [_xi_max(T) for _, _, T in cases]
+    tails = [_rhs_tail(chars[0].q, *case, x) for case, x in zip(cases, xi_maxes)]
 
-    def integrand(active, xs: np.ndarray) -> list:
-        lv, _ = lfunction.family_values([chars[j] for j in active], (1.0 - lam) + 1j * (phi + xs))
-        denom, gauss = (1.0 - lam) + 1j * xs, np.exp(-xs * xs / (2.0 * T))
-        # one character's row at a time, as a 1-D array
-        return [row / denom * gauss for row in lv]
+    def integrand(xss: dict, active: dict) -> dict:
+        """{c: {j: values}} at the points xss[c] of each case c, for its running
+        characters active[c], from one kernel call."""
+        s = np.concatenate([(1.0 - cases[c][1]) + 1j * (cases[c][0] + xs) for c, xs in xss.items()])
+        lv, _ = lfunction.family_values(chars, s)
+        out, start = {}, 0
+        for c, xs in xss.items():
+            _, lam, T = cases[c]
+            denom, gauss = (1.0 - lam) + 1j * xs, np.exp(-xs * xs / (2.0 * T))
+            rows = lv[:, start : start + len(xs)]
+            out[c] = {j: rows[j] / denom * gauss for j in active[c]}
+            start += len(xs)
+        return out
 
     n = 64
+    active = {c: list(range(len(chars))) for c in range(len(cases))}
+    fxs = integrand({c: np.linspace(-x, x, n + 1) for c, x in enumerate(xi_maxes)}, active)
     # the trapezoid sums: interior points in full, the two ends halved
     totals = [
-        complex(fx.sum() - 0.5 * (fx[0] + fx[-1]))
-        for fx in integrand(range(len(chars)), np.linspace(-xi_max, xi_max, n + 1))
+        {j: complex(fx.sum() - 0.5 * (fx[0] + fx[-1])) for j, fx in rows.items()}
+        for rows in fxs.values()
     ]
-    h = 2.0 * xi_max / n
-    ests = [h * total for total in totals]
-    done = [None] * len(chars)
-    active = list(range(len(chars)))
+    hs = [2.0 * x / n for x in xi_maxes]
+    ests = [{j: h * total for j, total in row.items()} for h, row in zip(hs, totals)]
+    done = [[None] * len(chars) for _ in cases]
     for _ in range(12):
-        # the new points are the midpoints of the current intervals
-        fxs = integrand(active, -xi_max + h * (np.arange(n) + 0.5))
-        n, h = 2 * n, h / 2.0
-        for j, fx in zip(active, fxs):
-            totals[j] += complex(fx.sum())
-            prev, ests[j] = ests[j], h * totals[j]
-            if abs(ests[j] - prev) < tol:
-                done[j] = (ests[j], tail, xi_max, n)
-        active = [j for j in active if done[j] is None]
+        # the new points are the midpoints of each running case's intervals
+        fxs = integrand({c: -xi_maxes[c] + hs[c] * (np.arange(n) + 0.5) for c in active}, active)
+        n = 2 * n
+        for c, rows in fxs.items():
+            hs[c] /= 2.0
+            for j, fx in rows.items():
+                totals[c][j] += complex(fx.sum())
+                prev, ests[c][j] = ests[c][j], hs[c] * totals[c][j]
+                if abs(ests[c][j] - prev) < tol:
+                    done[c][j] = (ests[c][j], tails[c], xi_maxes[c], n)
+            active[c] = [j for j in active[c] if done[c][j] is None]
+        active = {c: js for c, js in active.items() if js}
         if not active:
             return done
-    chi = chars[active[0]]
+    c, js = next(iter(active.items()))
+    chi, (phi, lam, T) = chars[js[0]], cases[c]
     raise ConvergenceError(
         f"L-line trapezoid did not reach tol {tol} in {n} intervals "
         f"(q={chi.q}, conrey={chi.conrey}, phi={phi}, lam={lam}, T={T})"
@@ -251,11 +278,12 @@ def rhs_L_integral(case: PlancherelCase, tol: float = _COMPONENT_TOL):
     tail_bound bounds the integral over |xi| > xi_max (see `_rhs_tail`); it
     does not cover the trapezoid's own error, which the stop test watches.
 
-    The one-character case of the loop run_grid runs for every character of
-    a modulus at once.  Raises ConvergenceError if 12 doublings (262 144
-    intervals) do not get there.
+    The one-case, one-character call of the lockstep loop `_rhs_family`,
+    which run_grid runs for every (phi, lam, T) and character of a modulus
+    at once.  Raises ConvergenceError if 12 doublings (262 144 intervals)
+    do not get there.
     """
-    return _rhs_family([case.chi], case.phi, case.lam, case.T, tol)[0]
+    return _rhs_family([case.chi], [(case.phi, case.lam, case.T)], tol)[0][0]
 
 
 @dataclass(frozen=True)
@@ -307,11 +335,14 @@ GRID_PHIS = (0.0, 0.3, -1.7)
 def run_grid(moduli=GRID_MODULI, lams=GRID_LAMS, Ts=GRID_TS, phis=GRID_PHIS) -> list:
     """All (primitive nonprincipal chi, phi, T, lam) cases in canonical order.
 
-    The erfc sums by residue class are computed once per (q, phi) for every
-    (lam, T), streamed in chunks of n, and contracted with each character's
-    value table, the same path `lhs_gaussian_sum` takes for one case.  One
-    L-line trapezoid per (q, phi, lam, T) serves every character of q, the
-    loop `rhs_L_integral` runs for one.  Rows equal verify_case's, bit for bit.
+    Every case of a modulus is built first, so a phi or T out of range
+    raises DomainError before any sum.  The erfc sums by residue class are
+    computed once per (q, phi) for every (lam, T), streamed in chunks of n,
+    and contracted with each character's value table, the same path
+    `lhs_gaussian_sum` takes for one case.  One lockstep trapezoid loop per
+    modulus, `_rhs_family`, serves every (phi, lam, T) and character of q:
+    one kernel call per doubling round, the loop `rhs_L_integral` runs for
+    one case.  Rows equal verify_case's, bit for bit.
     """
     lam_Ts = [(lam, T) for T in Ts for lam in lams]
     results = []
@@ -323,14 +354,16 @@ def run_grid(moduli=GRID_MODULI, lams=GRID_LAMS, Ts=GRID_TS, phis=GRID_PHIS) -> 
         ]
         if not chars:
             continue
-        rows = {}
-        for phi in phis:
-            sums, n_maxes = _erfc_class_sums(q, phi, lam_Ts, _COMPONENT_TOL)
-            for (lam, T), class_sums, n_max in zip(lam_Ts, sums, n_maxes):
-                cases = [PlancherelCase(chi, phi, lam, T) for chi in chars]
-                rhs = _rhs_family(chars, phi, lam, T, _COMPONENT_TOL)
-                for case, r in zip(cases, rhs):
-                    lhs = _lhs_from_sums(case, class_sums, n_max)
-                    rows[case.chi.conrey, phi, lam, T] = _case_result(case, lhs, r)
-        results += [rows[chi.conrey, phi, lam, T] for chi in chars for phi in phis for lam, T in lam_Ts]
+        grid = [(phi, lam, T) for phi in phis for lam, T in lam_Ts]
+        cases = [[PlancherelCase(chi, *key) for chi in chars] for key in grid]
+        # (class_sums, n_max) for each (phi, lam, T) of grid, in its order
+        lhs = [
+            part for phi in phis for part in zip(*_erfc_class_sums(q, phi, lam_Ts, _COMPONENT_TOL))
+        ]
+        rhs = _rhs_family(chars, grid, _COMPONENT_TOL)
+        # canonical order: by character, then (phi, lam, T) in the order of grid
+        for j in range(len(chars)):
+            for family, (class_sums, n_max), family_rhs in zip(cases, lhs, rhs):
+                lhs_parts = _lhs_from_sums(family[j], class_sums, n_max)
+                results.append(_case_result(family[j], lhs_parts, family_rhs[j]))
     return results

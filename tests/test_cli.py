@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -305,6 +306,13 @@ def test_domain_error_exits_2(capsys):
     code, _, err = run(capsys, ["audit-disk", "--q", "4", "--conrey", "3", "--x", "10", "--L", "360"])
     assert code == 2
     assert err.startswith("error:")
+    # the erfc sum would need 7.6e8 terms, past the cap: rejected before any sum
+    argv = ["plancherel", "--q", "4", "--conrey", "3", "--lambda", "0.25", "--T", "0.02"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_zeros_bad_spacing_exits_2(capsys):

@@ -1,12 +1,13 @@
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import erfc
 
-from charzero import dirichlet, harness, plancherel
+from charzero import dirichlet, harness, lfunction, plancherel
 from charzero.errors import ConvergenceError, DomainError
 
 CHI4 = dirichlet.character(4, 3)
@@ -26,6 +27,17 @@ def test_required_n_max_monotone():
     assert plancherel.required_n_max(4, 0.0, 0.5, 0.25) > plancherel.required_n_max(4, 0.0, 0.5, 4.0)
     n = plancherel.required_n_max(4, 0.0, 0.0, 1.0, tol=1e-9)
     assert n >= plancherel.required_n_max(4, 0.0, 0.0, 1.0, tol=1e-6)
+
+
+def test_required_n_max_caps_terms():
+    # at lam = 1/4 the least N is 2.0e7 at T = 0.05 and 7.6e8 at T = 0.02;
+    # past the cap it raises from the doubling alone, before any sum
+    assert plancherel.required_n_max(4, 0.0, 0.25, 0.05) <= plancherel._N_MAX_CAP
+    for T in (0.02, 0.01, 0.002):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f"{plancherel._N_MAX_CAP} terms .*T={T}"):
+            plancherel.required_n_max(4, 0.0, 0.25, T)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_required_n_max_rejects_bad_tol():
@@ -142,9 +154,12 @@ def test_small_grid_runs():
 
 def test_run_grid_rows_equal_verify_case():
     # lam = 0 stops its erfc sum before lam = 1/4 does, inside their shared
-    # chunk; q = 4 divides the chunk length and q = 7 does not
-    rows = plancherel.run_grid(moduli=(4, 7), lams=(0.0, 0.25), Ts=(0.25,), phis=(0.0, 0.3))
-    assert len(rows) == (1 + 5) * 2 * 2
+    # chunk; q = 4 divides the chunk length and q = 7 does not.  xi_max is 5
+    # at T = 1/4 and 20 at T = 4, so the lockstep trapezoids' rounds differ
+    # in size and stop at different rounds
+    rows = plancherel.run_grid(moduli=(4, 7), lams=(0.0, 0.25), Ts=(0.25, 4.0), phis=(0.0, 0.3))
+    assert len(rows) == (1 + 5) * 2 * 2 * 2
+    assert len({r.xi_max for r in rows}) == 2
     # at q = 5, phi = 0, lam = 1/2, T = 1 the real character's trapezoid
     # stops at fewer intervals than the complex ones, so the family loop
     # runs on after one of its characters has dropped out
@@ -154,6 +169,45 @@ def test_run_grid_rows_equal_verify_case():
     for row in rows + stops:
         chi = dirichlet.character(row.q, row.conrey)
         assert row == plancherel.verify_case(plancherel.PlancherelCase(chi, row.phi, row.lam, row.T))
+
+
+def _count_family_calls(monkeypatch) -> list:
+    calls = []
+    family_values = lfunction.family_values
+
+    def counted(chars, s):
+        calls.append(np.size(s))
+        return family_values(chars, s)
+
+    monkeypatch.setattr(lfunction, "family_values", counted)
+    return calls
+
+
+def test_run_grid_one_kernel_call_per_round(monkeypatch):
+    # every (phi, lam, T) trapezoid of a modulus runs in lockstep: round 0
+    # takes every case's 65 points in one call, each doubling one call more
+    # for the cases still running
+    calls = _count_family_calls(monkeypatch)
+    rows = plancherel.run_grid(moduli=(5,), phis=(0.0, 1.3))
+    cases = {(r.phi, r.lam, r.T) for r in rows}
+    assert len(cases) == 2 * len(plancherel.GRID_LAMS) * len(plancherel.GRID_TS)
+    assert calls[0] == 65 * len(cases)
+    n_calls = len(calls)
+    rounds = []
+    for r in rows:
+        case = plancherel.PlancherelCase(dirichlet.character(5, r.conrey), r.phi, r.lam, r.T)
+        intervals = plancherel.rhs_L_integral(case)[3]  # 64 * 2**rounds
+        rounds.append((intervals // 64).bit_length() - 1)
+    assert len(set(rounds)) > 1
+    assert n_calls == 1 + max(rounds), (n_calls, rounds)
+
+
+def test_run_grid_rejects_bad_case_before_kernel(monkeypatch):
+    # phi = 45 with xi_max = 10 leaves the window |t| <= 50
+    calls = _count_family_calls(monkeypatch)
+    with pytest.raises(DomainError, match="window"):
+        plancherel.run_grid(moduli=(5,), lams=(0.25,), Ts=(1.0,), phis=(0.0, 45.0))
+    assert calls == []
 
 
 def test_rhs_unconverged_raises():
